@@ -16,7 +16,6 @@ import (
 	"graphbench/internal/engine"
 	"graphbench/internal/graph"
 	"graphbench/internal/hdfs"
-	"graphbench/internal/partition"
 	"graphbench/internal/sim"
 )
 
@@ -84,32 +83,10 @@ func (e *VEngine) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt 
 	}
 	res.Load = c.Clock() - mark
 
+	// Blogel touches only active vertices.
 	mark = c.Clock()
-	cut := partition.EdgeCut{M: m, Seed: 7}
-	cfg := bsp.Config{
-		Graph:           gr,
-		Scale:           d.Scale,
-		M:               m,
-		MachineOf:       cut.MachineOf,
-		Profile:         &prof,
-		ScanAll:         false, // Blogel touches only active vertices
-		Shards:          opt.Shards,
-		Pool:            opt.Pool,
-		RecordIterStats: true,
-		CheckpointEvery: opt.CheckpointInterval(),
-		Direction:       opt.Direction,
-		Governor:        opt.Governor,
-		ShardPlan:       opt.ShardPlan,
-		MemoryTier:      opt.MemoryTier,
-	}
-	configureWorkload(&cfg, w, d, opt)
-	out, err := bsp.Run(c, cfg)
+	err = bsp.RunWorkload(c, &prof, false, gr, d, w, opt, res)
 	res.Exec = c.Clock() - mark
-	res.Iterations = dilated(out.Supersteps, cfg.TimeDilation)
-	res.Costs = out.Recovery
-	res.Govern = out.Govern
-	res.PerIteration = out.IterStats
-	fillOutputs(res, w, out)
 	if err != nil {
 		return res.Finish(c, err)
 	}
@@ -133,24 +110,14 @@ func chargeLoad(c *sim.Cluster, prof *sim.Profile, d *engine.Dataset, gr *graph.
 	if err != nil {
 		return 0, err
 	}
-	perMachine := float64(file.PaperBytes) / float64(m)
 	parse := prof.EdgeSeconds(float64(gr.NumEdges())*d.Scale/float64(m), c.Config().Cores)
-	costs := make([]sim.StepCost, m)
-	for i := range costs {
-		costs[i] = sim.StepCost{
-			ComputeSeconds: parse,
-			DiskReadBytes:  perMachine,
-			NetSendBytes:   perMachine * float64(m-1) / float64(m),
-			NetRecvBytes:   perMachine * float64(m-1) / float64(m),
-		}
-	}
-	if err := c.RunStep(costs); err != nil {
+	if err := c.ShuffleRead(file.PaperBytes, parse); err != nil {
 		return 0, err
 	}
 	// Single-chunk files serialize the read on one machine (§4.3).
 	if file.Chunks < m {
 		extra := hdfs.ParallelReadSeconds(file.PaperBytes, m, file.Chunks, c.Config().DiskBW) -
-			perMachine/c.Config().DiskBW
+			float64(file.PaperBytes)/float64(m)/c.Config().DiskBW
 		if extra > 0 {
 			if err := c.Advance(extra); err != nil {
 				return 0, err
@@ -168,70 +135,5 @@ func chargeLoad(c *sim.Cluster, prof *sim.Profile, d *engine.Dataset, gr *graph.
 	memBytes := float64(gr.NumVertices())*d.Scale*prof.VertexBytes*vf +
 		float64(gr.NumEdges())*d.Scale*prof.EdgeBytes*ef
 	per := int64(memBytes/float64(m)*prof.Imbalance) + prof.PerMachineBase
-	for i := 0; i < m; i++ {
-		if err := c.Alloc(i, per); err != nil {
-			return per, err
-		}
-	}
-	return per, nil
-}
-
-func configureWorkload(cfg *bsp.Config, w engine.Workload, d *engine.Dataset, opt engine.Options) {
-	switch w.Kind {
-	case engine.PageRank:
-		cfg.Program = &bsp.PageRankProgram{Damping: w.Damping}
-		cfg.Combine = bsp.SumCombine
-		cfg.StopDeltaBelow = w.Tolerance
-		cfg.FixedSupersteps = w.MaxIterations
-	case engine.WCC:
-		cfg.Program = bsp.WCCProgram{}
-		cfg.Combine = bsp.MinCombine
-		cfg.CombineFrom = 1
-		cfg.UseInNeighbors = true
-		cfg.TimeDilation = d.DilationFor(engine.WCC)
-	case engine.SSSP:
-		cfg.Program = &bsp.SSSPProgram{Source: d.Source}
-		cfg.Combine = bsp.MinCombine
-		cfg.TimeDilation = d.DilationFor(engine.SSSP)
-	case engine.KHop:
-		cfg.Program = &bsp.KHopProgram{Source: d.Source, K: w.K}
-		cfg.Combine = bsp.MinCombine
-	case engine.Triangle:
-		oriented, rank := graph.ForwardOrient(cfg.Graph)
-		cfg.Graph = oriented
-		cfg.Program = &bsp.TriangleProgram{Rank: rank}
-		cfg.Combine = bsp.SumCombine
-		cfg.CombineFrom = 1
-	case engine.LPA:
-		cfg.Graph = cfg.Graph.Simple()
-		cfg.Program = &bsp.LPAProgram{Rounds: w.LPAIterations()}
-	}
-	if opt.DisableCombiner {
-		cfg.Combine = nil
-	}
-	if w.MaxIterations > 0 && w.Kind != engine.PageRank && w.Kind != engine.LPA {
-		cfg.MaxSupersteps = w.MaxIterations
-	}
-}
-
-func dilated(supersteps int, dilation float64) int {
-	if dilation < 1 {
-		dilation = 1
-	}
-	return int(float64(supersteps)*dilation + 0.5)
-}
-
-func fillOutputs(res *engine.Result, w engine.Workload, out *bsp.Output) {
-	switch w.Kind {
-	case engine.PageRank:
-		res.Ranks = out.Values
-	case engine.WCC:
-		res.Labels = bsp.LabelsFromValues(out.Values)
-	case engine.SSSP, engine.KHop:
-		res.Dist = bsp.DistancesFromValues(out.Values)
-	case engine.Triangle:
-		res.Triangles = bsp.TrianglesFromValues(out.Values)
-	case engine.LPA:
-		res.Labels = bsp.CommunityLabelsFromValues(out.Values)
-	}
+	return per, c.AllocAll(per)
 }

@@ -7,10 +7,10 @@ import (
 	"graphbench/internal/engine"
 	"graphbench/internal/graph"
 	"graphbench/internal/hdfs"
+	"graphbench/internal/kernel"
 	"graphbench/internal/par"
 	"graphbench/internal/partition"
 	"graphbench/internal/sim"
-	"graphbench/internal/singlethread"
 )
 
 // BEngine is Blogel-B, the block-centric mode.
@@ -108,11 +108,7 @@ func (e *BEngine) chargeVoronoi(c *sim.Cluster, d *engine.Dataset, gr *graph.Gra
 	for r := 0; r < vor.Rounds; r++ {
 		bfs := prof.EdgeSeconds(edges/float64(m)*prof.Imbalance, c.Config().Cores)
 		aggBytes := verts * 4 / float64(m)
-		costs := make([]sim.StepCost, m)
-		for i := range costs {
-			costs[i] = sim.StepCost{ComputeSeconds: bfs, NetSendBytes: aggBytes, NetRecvBytes: aggBytes}
-		}
-		if err := c.RunStep(costs); err != nil {
+		if err := c.UniformStep(sim.StepCost{ComputeSeconds: bfs, NetSendBytes: aggBytes, NetRecvBytes: aggBytes}); err != nil {
 			return err
 		}
 	}
@@ -175,11 +171,7 @@ func (bx *bExec) chargeRound(edgeOps, msgs float64, dilated bool) error {
 	compute := p.EdgeSeconds(edgeOps/m*p.Imbalance*bx.d.Scale, c.Config().Cores) +
 		p.MsgSeconds(2*msgs/m*p.Imbalance*bx.d.Scale, c.Config().Cores)
 	net := msgs / m * p.Imbalance * p.MsgBytes * bx.d.Scale
-	costs := make([]sim.StepCost, c.Size())
-	for i := range costs {
-		costs[i] = sim.StepCost{ComputeSeconds: compute, NetSendBytes: net, NetRecvBytes: net}
-	}
-	if err := c.RunStep(costs); err != nil {
+	if err := c.UniformStep(sim.StepCost{ComputeSeconds: compute, NetSendBytes: net, NetRecvBytes: net}); err != nil {
 		return err
 	}
 	return c.Advance(p.SuperstepFixed * dil)
@@ -324,7 +316,7 @@ func (bx *bExec) wcc() error {
 			break
 		}
 	}
-	bx.res.Iterations = dilated(rounds, bx.d.DilationFor(engine.WCC))
+	bx.res.Iterations = bx.d.DilatedIterations(engine.WCC, rounds)
 
 	out := make([]graph.VertexID, bx.g.NumVertices())
 	for v := range out {
@@ -482,7 +474,7 @@ func (bx *bExec) traverse() error {
 		}
 		blocks, nextBlocks = nextBlocks, blocks
 	}
-	bx.res.Iterations = dilated(rounds, bx.d.DilationFor(bx.w.Kind))
+	bx.res.Iterations = bx.d.DilatedIterations(bx.w.Kind, rounds)
 	bx.res.Dist = dist
 	return nil
 }
@@ -492,61 +484,20 @@ func (bx *bExec) traverse() error {
 // candidate probes whose middle vertex lives in another block are
 // shipped as messages, in-block probes are serial edge work. Block
 // structure cannot change the counts — the algorithm and orientation
-// are exactly the single-thread oracle's — so shards accumulate private
-// count arrays merged by integer sum, bit-identical at any pool size.
+// are exactly the single-thread oracle's.
 func (bx *bExec) triangles() error {
 	o, rank := graph.ForwardOrient(bx.g)
-	n := o.NumVertices()
-	type triAcc struct {
-		counts        []int64
-		edgeOps, msgs int64
-		hits          int64
-	}
-	// Shard by the oriented graph's degree weights: candidate fan-out
-	// concentrates on forward-heavy vertices.
-	pl := par.PlanPrefix(o.WorkPrefix(), bx.pool.Workers())
-	accs := par.MapPlan(bx.pool, pl, func(s par.Shard) triAcc {
-		a := triAcc{counts: make([]int64, n)}
-		for u := s.Lo; u < s.Hi; u++ {
-			nbrs := o.OutNeighbors(graph.VertexID(u))
-			for i, v := range nbrs {
-				for _, w := range nbrs[i+1:] {
-					lo, hi := v, w
-					if rank[lo] > rank[hi] {
-						lo, hi = hi, lo
-					}
-					a.edgeOps++
-					if bx.vor.BlockOf[lo] != bx.vor.BlockOf[u] {
-						a.msgs++ // candidate shipped to the probing block
-					}
-					if o.HasEdge(lo, hi) {
-						a.hits++
-						a.counts[u]++
-						a.counts[v]++
-						a.counts[w]++
-					}
-				}
-			}
-		}
-		return a
+	blockOf := bx.vor.BlockOf
+	counts, cands, hits, msgs := kernel.ForwardTriangles(bx.pool, o, rank, func(u, prober graph.VertexID) bool {
+		return blockOf[prober] != blockOf[u] // candidate shipped to the probing block
 	})
-	counts := make([]int64, n)
-	var edgeOps, msgs, hits float64
-	for _, a := range accs {
-		for v, c := range a.counts {
-			counts[v] += c
-		}
-		edgeOps += float64(a.edgeOps)
-		msgs += float64(a.msgs)
-		hits += float64(a.hits)
-	}
 	bx.res.Triangles = counts
 	bx.res.Iterations = 1
 	bx.res.PerIteration = append(bx.res.PerIteration, engine.IterStat{
 		Iteration: 1, Active: bx.vor.NumBlocks, Updates: int(hits),
 	})
 	// Credits to corners in foreign blocks also cross the wire.
-	return bx.chargeRound(edgeOps, msgs+2*hits, false)
+	return bx.chargeRound(float64(cands), float64(msgs)+2*float64(hits), false)
 }
 
 // lpa runs synchronous label propagation: the rounds are globally
@@ -556,7 +507,6 @@ func (bx *bExec) triangles() error {
 func (bx *bExec) lpa() error {
 	u := bx.g.Simple()
 	n := u.NumVertices()
-	rounds := bx.w.LPAIterations()
 
 	// Cross-block undirected edges, counted once: each round ships the
 	// boundary labels.
@@ -568,64 +518,15 @@ func (bx *bExec) lpa() error {
 		return true
 	})
 
-	labels := make([]float64, n)
-	next := make([]float64, n)
-	for v := range labels {
-		labels[v] = float64(v)
-	}
-	// Shard by the simple view's degrees; the round body is built once,
-	// so steady-state rounds dispatch with zero allocations.
-	pl := par.PlanPrefix(u.WorkPrefix(), bx.pool.Workers())
-	scratch := make([][]float64, pl.Count())
-	updates := make([]int64, pl.Count())
-
-	finish := func(iters int) {
-		bx.res.Iterations = iters
-		out := make([]graph.VertexID, n)
-		for v, x := range labels {
-			out[v] = graph.VertexID(x)
-		}
-		bx.res.Labels = graph.CanonicalizeLabels(out)
-	}
-
-	roundFn := func(i int) {
-		s := pl.Shard(i)
-		var upd int64
-		buf := scratch[i]
-		for v := s.Lo; v < s.Hi; v++ {
-			nbrs := u.OutNeighbors(graph.VertexID(v))
-			buf = buf[:0]
-			for _, w := range nbrs {
-				buf = append(buf, labels[w])
-			}
-			slices.Sort(buf)
-			nv := singlethread.ModeMaxLabel(buf, labels[v])
-			if nv != labels[v] {
-				upd++
-			}
-			next[v] = nv
-		}
-		scratch[i] = buf
-		updates[i] = upd
-	}
-
-	for it := 1; it <= rounds; it++ {
-		bx.pool.ForEach(pl.Count(), roundFn)
-		var upd float64
-		for _, x := range updates {
-			upd += float64(x)
-		}
-		labels, next = next, labels
+	labels, err := kernel.LPARounds(bx.pool, u, bx.w.LPAIterations(), func(it, updates int) error {
+		bx.res.Iterations = it
 		bx.res.PerIteration = append(bx.res.PerIteration, engine.IterStat{
-			Iteration: it, Active: n, Updates: int(upd),
+			Iteration: it, Active: n, Updates: updates,
 		})
-		if err := bx.chargeRound(float64(u.NumEdges()), crossE, false); err != nil {
-			finish(it)
-			return err
-		}
-	}
-	finish(rounds)
-	return nil
+		return bx.chargeRound(float64(u.NumEdges()), crossE, false)
+	})
+	bx.res.SetOutputs(engine.LPA, labels)
+	return err
 }
 
 // pageRank runs the paper's two-step block PageRank (§3.1.2): local
@@ -745,48 +646,16 @@ func (bx *bExec) pageRank() error {
 	}
 
 	// Step 2: vertex-centric PageRank seeded with pr(v)·pr(b), on the
-	// same plan, delta slab, and hoisted-phase pattern as step 1a.
+	// same plan and contribution scratch as step 1a.
 	ranks := make([]float64, n)
 	for v := 0; v < n; v++ {
 		ranks[v] = local[v] * blockRank[bx.vor.BlockOf[v]]
 	}
-	globalScatterFn := func(i int) {
-		s := pl.Shard(i)
-		for v := s.Lo; v < s.Hi; v++ {
-			if d := bx.g.OutDegree(graph.VertexID(v)); d > 0 {
-				contrib[v] = ranks[v] / float64(d)
-			} else {
-				contrib[v] = 0
-			}
-		}
-	}
-	globalGatherFn := func(i int) {
-		s := pl.Shard(i)
-		maxDelta := 0.0
-		for v := s.Lo; v < s.Hi; v++ {
-			sum := 0.0
-			for _, u := range bx.g.InNeighbors(graph.VertexID(v)) {
-				sum += contrib[u]
-			}
-			nv := bx.w.Damping + (1-bx.w.Damping)*sum
-			if d := math.Abs(nv - ranks[v]); d > maxDelta {
-				maxDelta = d
-			}
-			ranks[v] = nv
-		}
-		deltas[i] = maxDelta
-	}
+	global := kernel.NewPageRank(bx.pool, pl, bx.g, bx.w.Damping, ranks, contrib)
 	iters := 0
 	for {
 		iters++
-		bx.pool.ForEach(pl.Count(), globalScatterFn)
-		bx.pool.ForEach(pl.Count(), globalGatherFn)
-		maxDelta := 0.0
-		for _, d := range deltas {
-			if d > maxDelta {
-				maxDelta = d
-			}
-		}
+		maxDelta := global.Round()
 		bx.res.PerIteration = append(bx.res.PerIteration, engine.IterStat{Iteration: iters, Active: n})
 		// Step 2 is plain vertex-centric PageRank: every edge carries a
 		// rank message, so it pays the full per-message cost.

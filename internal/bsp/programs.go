@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"graphbench/internal/engine"
 	"graphbench/internal/graph"
 	"graphbench/internal/singlethread"
 )
@@ -278,39 +279,7 @@ func (p *LPAProgram) Compute(ctx *Context, msgs []float64) {
 
 // DistancesFromValues converts float vertex values to the int32 hop
 // distances used by the oracles (-1 for unreached).
-func DistancesFromValues(values []float64) []int32 {
-	out := make([]int32, len(values))
-	for i, v := range values {
-		if math.IsInf(v, 1) {
-			out[i] = -1
-		} else {
-			out[i] = int32(v)
-		}
-	}
-	return out
-}
+func DistancesFromValues(values []float64) []int32 { return engine.DistancesFromValues(values) }
 
 // LabelsFromValues converts float vertex values to WCC labels.
-func LabelsFromValues(values []float64) []graph.VertexID {
-	out := make([]graph.VertexID, len(values))
-	for i, v := range values {
-		out[i] = graph.VertexID(v)
-	}
-	return out
-}
-
-// TrianglesFromValues converts float vertex values to the per-vertex
-// triangle counts of the oracle.
-func TrianglesFromValues(values []float64) []int64 {
-	out := make([]int64, len(values))
-	for i, v := range values {
-		out[i] = int64(v)
-	}
-	return out
-}
-
-// CommunityLabelsFromValues converts float LPA values to canonical
-// community labels (smallest member id per community).
-func CommunityLabelsFromValues(values []float64) []graph.VertexID {
-	return graph.CanonicalizeLabels(LabelsFromValues(values))
-}
+func LabelsFromValues(values []float64) []graph.VertexID { return engine.LabelsFromValues(values) }

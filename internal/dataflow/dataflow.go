@@ -21,7 +21,6 @@ import (
 	"graphbench/internal/engine"
 	"graphbench/internal/graph"
 	"graphbench/internal/hdfs"
-	"graphbench/internal/partition"
 	"graphbench/internal/sim"
 )
 
@@ -121,33 +120,13 @@ func (g *Gelly) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt en
 	}
 	res.Load = c.Clock() - mark
 
-	// Bulk-iteration operator: scatter-gather BSP.
+	// Bulk-iteration operator: scatter-gather BSP whose coGroup re-scans
+	// the full vertex dataset every superstep. Gelly has no combiner
+	// ablation.
 	mark = c.Clock()
-	cut := partition.EdgeCut{M: m, Seed: 7}
-	cfg := bsp.Config{
-		Graph:           gr,
-		Scale:           d.Scale,
-		M:               m,
-		MachineOf:       cut.MachineOf,
-		Profile:         &prof,
-		ScanAll:         true, // coGroup re-scans the full dataset
-		Shards:          opt.Shards,
-		Pool:            opt.Pool,
-		RecordIterStats: true,
-		CheckpointEvery: opt.CheckpointInterval(),
-		Direction:       opt.Direction,
-		Governor:        opt.Governor,
-		ShardPlan:       opt.ShardPlan,
-		MemoryTier:      opt.MemoryTier,
-	}
-	configureWorkload(&cfg, w, d)
-	out, err := bsp.Run(c, cfg)
+	opt.DisableCombiner = false
+	err = bsp.RunWorkload(c, &prof, true, gr, d, w, opt, res)
 	res.Exec = c.Clock() - mark
-	res.Iterations = dilatedIters(out.Supersteps, cfg.TimeDilation)
-	res.Costs = out.Recovery
-	res.Govern = out.Govern
-	res.PerIteration = out.IterStats
-	fillOutputs(res, w, out)
 	if err != nil {
 		return res.Finish(c, err)
 	}
@@ -166,19 +145,8 @@ func (g *Gelly) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt en
 
 func (g *Gelly) chargeLoad(c *sim.Cluster, prof *sim.Profile, d *engine.Dataset, gr *graph.Graph, w engine.Workload) (int64, error) {
 	m := c.Size()
-	bytes := d.FileBytes(graph.FormatEdge)
-	per := float64(bytes) / float64(m)
 	parse := prof.RecordSeconds(float64(gr.NumEdges())*d.Scale/float64(m), c.Config().Cores)
-	costs := make([]sim.StepCost, m)
-	for i := range costs {
-		costs[i] = sim.StepCost{
-			ComputeSeconds: parse,
-			DiskReadBytes:  per,
-			NetSendBytes:   per * float64(m-1) / float64(m),
-			NetRecvBytes:   per * float64(m-1) / float64(m),
-		}
-	}
-	if err := c.RunStep(costs); err != nil {
+	if err := c.ShuffleRead(d.FileBytes(graph.FormatEdge), parse); err != nil {
 		return 0, err
 	}
 
@@ -190,69 +158,7 @@ func (g *Gelly) chargeLoad(c *sim.Cluster, prof *sim.Profile, d *engine.Dataset,
 	}
 	memBytes := float64(gr.NumVertices())*d.Scale*prof.VertexBytes*vf +
 		float64(gr.NumEdges())*d.Scale*prof.EdgeBytes*ef
-	per2 := int64(memBytes/float64(m)*prof.Imbalance) +
+	per := int64(memBytes/float64(m)*prof.Imbalance) +
 		prof.PerMachineBase + int64(netBufferBytesPerMachine*int64(m))
-	for i := 0; i < m; i++ {
-		if err := c.Alloc(i, per2); err != nil {
-			return per2, err
-		}
-	}
-	return per2, nil
-}
-
-func configureWorkload(cfg *bsp.Config, w engine.Workload, d *engine.Dataset) {
-	switch w.Kind {
-	case engine.PageRank:
-		cfg.Program = &bsp.PageRankProgram{Damping: w.Damping}
-		cfg.Combine = bsp.SumCombine
-		cfg.StopDeltaBelow = w.Tolerance
-		cfg.FixedSupersteps = w.MaxIterations
-	case engine.WCC:
-		cfg.Program = bsp.WCCProgram{}
-		cfg.Combine = bsp.MinCombine
-		cfg.CombineFrom = 1
-		cfg.UseInNeighbors = true
-		cfg.TimeDilation = d.DilationFor(engine.WCC)
-	case engine.SSSP:
-		cfg.Program = &bsp.SSSPProgram{Source: d.Source}
-		cfg.Combine = bsp.MinCombine
-		cfg.TimeDilation = d.DilationFor(engine.SSSP)
-	case engine.KHop:
-		cfg.Program = &bsp.KHopProgram{Source: d.Source, K: w.K}
-		cfg.Combine = bsp.MinCombine
-	case engine.Triangle:
-		oriented, rank := graph.ForwardOrient(cfg.Graph)
-		cfg.Graph = oriented
-		cfg.Program = &bsp.TriangleProgram{Rank: rank}
-		cfg.Combine = bsp.SumCombine
-		cfg.CombineFrom = 1
-	case engine.LPA:
-		cfg.Graph = cfg.Graph.Simple()
-		cfg.Program = &bsp.LPAProgram{Rounds: w.LPAIterations()}
-	}
-	if w.MaxIterations > 0 && w.Kind != engine.PageRank && w.Kind != engine.LPA {
-		cfg.MaxSupersteps = w.MaxIterations
-	}
-}
-
-func dilatedIters(supersteps int, dil float64) int {
-	if dil < 1 {
-		dil = 1
-	}
-	return int(float64(supersteps)*dil + 0.5)
-}
-
-func fillOutputs(res *engine.Result, w engine.Workload, out *bsp.Output) {
-	switch w.Kind {
-	case engine.PageRank:
-		res.Ranks = out.Values
-	case engine.WCC:
-		res.Labels = bsp.LabelsFromValues(out.Values)
-	case engine.SSSP, engine.KHop:
-		res.Dist = bsp.DistancesFromValues(out.Values)
-	case engine.Triangle:
-		res.Triangles = bsp.TrianglesFromValues(out.Values)
-	case engine.LPA:
-		res.Labels = bsp.CommunityLabelsFromValues(out.Values)
-	}
+	return per, c.AllocAll(per)
 }

@@ -7,6 +7,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"graphbench/internal/govern"
 	"graphbench/internal/graph"
@@ -439,6 +440,51 @@ func (r *Result) TotalTriangles() int64 {
 	return sum / 3
 }
 
+// SetOutputs decodes a float64 vertex-value plane — the representation
+// every runtime computes on — into the typed output of the workload
+// kind: ranks as they are, WCC labels, hop distances, triangle counts,
+// or LPA community labels canonicalized to the smallest member id.
+func (r *Result) SetOutputs(k Kind, values []float64) {
+	switch k {
+	case PageRank:
+		r.Ranks = values
+	case WCC:
+		r.Labels = LabelsFromValues(values)
+	case SSSP, KHop:
+		r.Dist = DistancesFromValues(values)
+	case Triangle:
+		r.Triangles = make([]int64, len(values))
+		for i, v := range values {
+			r.Triangles[i] = int64(v)
+		}
+	case LPA:
+		r.Labels = graph.CanonicalizeLabels(LabelsFromValues(values))
+	}
+}
+
+// DistancesFromValues converts float vertex values to the int32 hop
+// distances used by the oracles (-1 for unreached).
+func DistancesFromValues(values []float64) []int32 {
+	out := make([]int32, len(values))
+	for i, v := range values {
+		if math.IsInf(v, 1) {
+			out[i] = -1
+		} else {
+			out[i] = int32(v)
+		}
+	}
+	return out
+}
+
+// LabelsFromValues converts float vertex values to vertex-id labels.
+func LabelsFromValues(values []float64) []graph.VertexID {
+	out := make([]graph.VertexID, len(values))
+	for i, v := range values {
+		out[i] = graph.VertexID(v)
+	}
+	return out
+}
+
 // Finish populates the resource fields of r from the cluster's final
 // state and the given error, and returns r for chaining.
 func (r *Result) Finish(c *sim.Cluster, err error) *Result {
@@ -509,6 +555,12 @@ func (d *Dataset) DilationFor(k Kind) float64 {
 		return 1
 	}
 	return v
+}
+
+// DilatedIterations reports a synthetic iteration count at paper scale:
+// iters times the kind's dilation factor, rounded to nearest.
+func (d *Dataset) DilatedIterations(k Kind, iters int) int {
+	return int(float64(iters)*d.DilationFor(k) + 0.5)
 }
 
 // Path returns the HDFS path of the dataset in the given format.

@@ -3,13 +3,12 @@ package gas
 import (
 	"math"
 	"math/rand"
-	"slices"
 
 	"graphbench/internal/engine"
 	"graphbench/internal/graph"
+	"graphbench/internal/kernel"
 	"graphbench/internal/par"
 	"graphbench/internal/sim"
-	"graphbench/internal/singlethread"
 )
 
 // execution holds one run's state: the GAS engine proper. Gather reads
@@ -57,11 +56,9 @@ func (ex *execution) init() {
 		switch ex.w.Kind {
 		case engine.PageRank:
 			ex.values[v] = 1
-		case engine.WCC, engine.LPA:
+		case engine.WCC:
 			ex.values[v] = float64(v)
-		case engine.Triangle:
-			ex.values[v] = 0
-		default:
+		case engine.SSSP, engine.KHop:
 			ex.values[v] = math.Inf(1)
 		}
 	}
@@ -218,8 +215,7 @@ func (ex *execution) syncPageRank() error {
 			Iteration: iters, Active: int(activeCount), Updates: int(updates),
 		})
 		if err := ex.chargeIteration(activeCount, gatherEdges, scatterEdges, mirrorMsgs, 1); err != nil {
-			ex.res.Iterations = iters
-			ex.res.Ranks = ex.values
+			ex.finish(iters)
 			return err
 		}
 		if approx {
@@ -267,8 +263,7 @@ func (ex *execution) syncPageRank() error {
 			break
 		}
 	}
-	ex.res.Iterations = iters
-	ex.res.Ranks = ex.values
+	ex.finish(iters)
 	return nil
 }
 
@@ -360,7 +355,7 @@ func (ex *execution) syncPropagate() error {
 			Iteration: iters, Active: frontier.Len(), Updates: next.Len(),
 		})
 		if err := ex.chargeIteration(float64(frontier.Len()), gatherEdges, scatterEdges, mirrorMsgs, 1); err != nil {
-			ex.finishPropagate(iters)
+			ex.finish(iters)
 			return err
 		}
 		// Keep only vertices that can still improve: swap the two
@@ -368,81 +363,26 @@ func (ex *execution) syncPropagate() error {
 		frontier, next = next, frontier
 		next.Clear()
 	}
-	ex.finishPropagate(iters)
+	ex.finish(iters)
 	return nil
 }
 
-func (ex *execution) finishPropagate(iters int) {
-	ex.res.Iterations = int(float64(iters)*ex.dilation() + 0.5)
-	switch ex.w.Kind {
-	case engine.WCC:
-		labels := make([]graph.VertexID, len(ex.values))
-		for i, v := range ex.values {
-			labels[i] = graph.VertexID(v)
-		}
-		ex.res.Labels = labels
-	default:
-		dist := make([]int32, len(ex.values))
-		for i, v := range ex.values {
-			if math.IsInf(v, 1) {
-				dist[i] = -1
-			} else {
-				dist[i] = int32(v)
-			}
-		}
-		ex.res.Dist = dist
-	}
+// finish records the iteration count (at paper scale) and decodes the
+// value plane into the workload's typed output.
+func (ex *execution) finish(iters int) {
+	ex.res.Iterations = ex.d.DilatedIterations(ex.w.Kind, iters)
+	ex.res.SetOutputs(ex.w.Kind, ex.values)
 }
 
 // syncTriangles runs degree-ordered triangle counting as one gather-
 // heavy GAS phase: every vertex gathers its forward neighborhood
 // through mirrors, generates candidate pairs (the quadratic fan-out),
 // probes closing edges, and scatters credits to triangle corners.
-// Shards accumulate into private count arrays merged by integer sum, so
-// any shard count produces bit-identical counts and modeled costs.
 func (ex *execution) syncTriangles() error {
 	o, rank := graph.ForwardOrient(ex.g)
 	n := o.NumVertices()
-	type triAcc struct {
-		counts                  []int64
-		cands, hits, mirrorMsgs int64
-	}
-	// Shard by the oriented graph's degree weights: the quadratic
-	// candidate fan-out concentrates on the forward-heavy vertices.
-	pl := par.PlanPrefix(o.WorkPrefix(), ex.pool.Workers())
-	accs := par.MapPlan(ex.pool, pl, func(s par.Shard) triAcc {
-		a := triAcc{counts: make([]int64, n)}
-		for u := s.Lo; u < s.Hi; u++ {
-			a.mirrorMsgs += 2 * int64(ex.replicasM[u])
-			nbrs := o.OutNeighbors(graph.VertexID(u))
-			for i, v := range nbrs {
-				for _, w := range nbrs[i+1:] {
-					lo, hi := v, w
-					if rank[lo] > rank[hi] {
-						lo, hi = hi, lo
-					}
-					a.cands++
-					if o.HasEdge(lo, hi) {
-						a.hits++
-						a.counts[u]++
-						a.counts[v]++
-						a.counts[w]++
-					}
-				}
-			}
-		}
-		return a
-	})
-	counts := make([]int64, n)
-	var cands, hits, mirrorMsgs float64
-	for _, a := range accs {
-		for v, c := range a.counts {
-			counts[v] += c
-		}
-		cands += float64(a.cands)
-		hits += float64(a.hits)
-		mirrorMsgs += float64(a.mirrorMsgs)
-	}
+	counts, cands64, hits64, _ := kernel.ForwardTriangles(ex.pool, o, rank, nil)
+	cands, hits := float64(cands64), float64(hits64)
 	ex.res.Triangles = counts
 	ex.res.Iterations = 1
 	ex.res.PerIteration = append(ex.res.PerIteration, engine.IterStat{
@@ -450,79 +390,36 @@ func (ex *execution) syncTriangles() error {
 	})
 	// Gather probes the candidate pairs; scatter ships two credits per
 	// triangle; candidates travel through mirrors like gather values.
-	return ex.chargeIteration(float64(n), cands, 2*hits, mirrorMsgs+cands, 1)
+	return ex.chargeIteration(float64(n), cands, 2*hits, ex.mirrorSync()+cands, 1)
+}
+
+// mirrorSync is the mirror-synchronization message count of an iteration
+// in which every vertex participates: each replica beyond the master
+// receives the gathered value and returns its partial.
+func (ex *execution) mirrorSync() float64 {
+	var msgs int64
+	for _, r := range ex.replicasM {
+		msgs += 2 * int64(r)
+	}
+	return float64(msgs)
 }
 
 // syncLPA runs synchronous label propagation over the undirected simple
 // view: a fixed number of rounds in which every vertex gathers its
 // neighbors' labels and applies the most-frequent / max-tie-break rule.
-// The sweep shards over vertex ranges; each round reads only the
-// previous round's labels, so outputs are bit-identical at any shard
-// count.
 func (ex *execution) syncLPA() error {
 	u := ex.g.Simple()
 	n := u.NumVertices()
-	rounds := ex.w.LPAIterations()
-	next := make([]float64, n)
-	// Shard by the simple view's degrees (label gathering is edge
-	// work); the round body is built once, so steady-state rounds
-	// dispatch with zero allocations.
-	pl := par.PlanPrefix(u.WorkPrefix(), ex.pool.Workers())
-	scratch := par.ScratchFor[[]float64](ex.pool)
-	type lpaAcc struct{ edges, updates, mirrorMsgs int64 }
-	accs := make([]lpaAcc, pl.Count())
-
-	finish := func(iters int) {
-		ex.res.Iterations = iters
-		labels := make([]graph.VertexID, n)
-		for v, x := range ex.values {
-			labels[v] = graph.VertexID(x)
-		}
-		ex.res.Labels = graph.CanonicalizeLabels(labels)
-	}
-
-	roundFn := func(i int) {
-		s := pl.Shard(i)
-		var a lpaAcc
-		buf := *scratch.At(i)
-		for v := s.Lo; v < s.Hi; v++ {
-			nbrs := u.OutNeighbors(graph.VertexID(v))
-			buf = buf[:0]
-			for _, w := range nbrs {
-				buf = append(buf, ex.values[w])
-			}
-			slices.Sort(buf)
-			nv := singlethread.ModeMaxLabel(buf, ex.values[v])
-			if nv != ex.values[v] {
-				a.updates++
-			}
-			next[v] = nv
-			a.edges += int64(len(nbrs))
-			a.mirrorMsgs += 2 * int64(ex.replicasM[v])
-		}
-		*scratch.At(i) = buf
-		accs[i] = a
-	}
-
-	for it := 1; it <= rounds; it++ {
-		ex.pool.ForEach(pl.Count(), roundFn)
-		var edges, updates, mirrorMsgs float64
-		for _, a := range accs {
-			edges += float64(a.edges)
-			updates += float64(a.updates)
-			mirrorMsgs += float64(a.mirrorMsgs)
-		}
-		ex.values, next = next, ex.values
+	edges, mirrorMsgs := float64(u.NumEdges()), ex.mirrorSync()
+	labels, err := kernel.LPARounds(ex.pool, u, ex.w.LPAIterations(), func(it, updates int) error {
+		ex.res.Iterations = it
 		ex.res.PerIteration = append(ex.res.PerIteration, engine.IterStat{
-			Iteration: it, Active: n, Updates: int(updates),
+			Iteration: it, Active: n, Updates: updates,
 		})
-		if err := ex.chargeIteration(float64(n), edges, edges, mirrorMsgs, 1); err != nil {
-			finish(it)
-			return err
-		}
-	}
-	finish(rounds)
-	return nil
+		return ex.chargeIteration(float64(n), edges, edges, mirrorMsgs, 1)
+	})
+	ex.res.SetOutputs(engine.LPA, labels)
+	return err
 }
 
 // runAsync executes the asynchronous engine: chaotic Gauss–Seidel
@@ -633,11 +530,11 @@ func (ex *execution) runAsync() error {
 			}
 		}
 		if err := ex.chargeIteration(float64(n), gatherEdges, 0, mirrorMsgs, slow); err != nil {
-			ex.asyncFinish(iters)
+			ex.finish(iters)
 			return err
 		}
 		if allocErr != nil {
-			ex.asyncFinish(iters)
+			ex.finish(iters)
 			return allocErr
 		}
 		if ex.w.Kind == engine.PageRank {
@@ -654,15 +551,6 @@ func (ex *execution) runAsync() error {
 			break
 		}
 	}
-	ex.asyncFinish(iters)
+	ex.finish(iters)
 	return nil
-}
-
-func (ex *execution) asyncFinish(iters int) {
-	if ex.w.Kind == engine.PageRank {
-		ex.res.Iterations = iters
-		ex.res.Ranks = ex.values
-		return
-	}
-	ex.finishPropagate(iters)
 }

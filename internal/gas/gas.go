@@ -194,16 +194,12 @@ func (g *GraphLab) chargeLoad(c *sim.Cluster, prof *sim.Profile, d *engine.Datas
 	replicas := float64(vc.TotalReplicas()) * d.Scale
 	netBytes := (replicas * 24) / float64(m)
 
-	costs := make([]sim.StepCost, m)
-	for i := range costs {
-		costs[i] = sim.StepCost{
-			ComputeSeconds: readSec/float64(m)*0 + partSec, // read charged as disk below
-			DiskReadBytes:  float64(file.PaperBytes) / float64(m),
-			NetSendBytes:   netBytes,
-			NetRecvBytes:   netBytes,
-		}
-	}
-	if err := c.RunStep(costs); err != nil {
+	if err := c.UniformStep(sim.StepCost{
+		ComputeSeconds: partSec, // the read is charged as disk
+		DiskReadBytes:  float64(file.PaperBytes) / float64(m),
+		NetSendBytes:   netBytes,
+		NetRecvBytes:   netBytes,
+	}); err != nil {
 		return 0, err
 	}
 	// The single-reader penalty when the file is one chunk (§4.3).
@@ -215,10 +211,5 @@ func (g *GraphLab) chargeLoad(c *sim.Cluster, prof *sim.Profile, d *engine.Datas
 
 	memBytes := replicas*prof.VertexBytes + float64(gr.NumEdges())*d.Scale*prof.EdgeBytes
 	perMachine := int64(memBytes/float64(m)*prof.Imbalance) + prof.PerMachineBase
-	for i := 0; i < m; i++ {
-		if err := c.Alloc(i, perMachine); err != nil {
-			return perMachine, err
-		}
-	}
-	return perMachine, nil
+	return perMachine, c.AllocAll(perMachine)
 }

@@ -9,10 +9,9 @@
 package graphx
 
 import (
-	"math"
-
 	"graphbench/internal/engine"
 	"graphbench/internal/graph"
+	"graphbench/internal/kernel"
 	"graphbench/internal/partition"
 	"graphbench/internal/rdd"
 	"graphbench/internal/sim"
@@ -138,12 +137,7 @@ func (g *GraphX) chargeLoad(c *sim.Cluster, sc *rdd.Context, d *engine.Dataset, 
 	m := float64(c.Size())
 	// Read + parse the edge file as one stage, then a shuffle stage to
 	// build the partitioned property graph.
-	readPer := float64(file.PaperBytes) / m
-	costs := make([]sim.StepCost, c.Size())
-	for i := range costs {
-		costs[i] = sim.StepCost{DiskReadBytes: readPer}
-	}
-	if err := c.RunStep(costs); err != nil {
+	if err := c.UniformStep(sim.StepCost{DiskReadBytes: float64(file.PaperBytes) / m}); err != nil {
 		return 0, err
 	}
 	if err := sc.RunStage(rdd.StageCost{
@@ -156,12 +150,7 @@ func (g *GraphX) chargeLoad(c *sim.Cluster, sc *rdd.Context, d *engine.Dataset, 
 	memBytes := float64(vc.TotalReplicas())*d.Scale*g.Profile.VertexBytes +
 		float64(gr.NumEdges())*d.Scale*g.Profile.EdgeBytes
 	per := int64(memBytes/m*g.Profile.Imbalance) + g.Profile.PerMachineBase
-	for i := 0; i < c.Size(); i++ {
-		if err := c.Alloc(i, per); err != nil {
-			return per, err
-		}
-	}
-	return per, nil
+	return per, c.AllocAll(per)
 }
 
 // pregelLoop performs the real computation (identical algorithms to the
@@ -181,77 +170,8 @@ func (g *GraphX) pregelLoop(sc *rdd.Context, d *engine.Dataset, gr *graph.Graph,
 		work = gr.Undirected()
 	}
 
-	values := make([]float64, n)
-	contrib := make([]float64, n)
-	next := make([]float64, n)
-	for v := range values {
-		switch w.Kind {
-		case engine.PageRank:
-			values[v] = 1
-		case engine.WCC:
-			values[v] = float64(v)
-		default:
-			values[v] = math.Inf(1)
-		}
-	}
-	if w.Kind == engine.SSSP || w.Kind == engine.KHop {
-		values[d.Source] = 0
-	}
-
-	iters := 0
 	lastCkpt := 0
-	for {
-		iters++
-		var msgs float64
-		maxDelta := 0.0
-		changed := 0
-
-		switch w.Kind {
-		case engine.PageRank:
-			for v := 0; v < n; v++ {
-				if deg := work.OutDegree(graph.VertexID(v)); deg > 0 {
-					contrib[v] = values[v] / float64(deg)
-					msgs += float64(deg)
-				} else {
-					contrib[v] = 0
-				}
-			}
-			for v := 0; v < n; v++ {
-				sum := 0.0
-				for _, u := range work.InNeighbors(graph.VertexID(v)) {
-					sum += contrib[u]
-				}
-				nv := w.Damping + (1-w.Damping)*sum
-				if dd := math.Abs(nv - values[v]); dd > maxDelta {
-					maxDelta = dd
-				}
-				next[v] = nv
-			}
-			values, next = next, values
-		default:
-			copy(next, values)
-			for v := 0; v < n; v++ {
-				if math.IsInf(values[v], 1) {
-					continue
-				}
-				emit := values[v]
-				if w.Kind != engine.WCC {
-					emit++
-				}
-				for _, u := range work.OutNeighbors(graph.VertexID(v)) {
-					msgs++
-					if emit < next[u] {
-						next[u] = emit
-					}
-				}
-			}
-			for v := range next {
-				if next[v] != values[v] {
-					changed++
-				}
-			}
-			values, next = next, values
-		}
+	values, iters, err := kernel.FullScanRounds(work, w, d.Source, func(iters int, msgs float64, changed int) error {
 		// Charge the iteration: GraphX joins the full vertex RDD and
 		// scans the full edge RDD every iteration regardless of how
 		// small the frontier is.
@@ -271,53 +191,31 @@ func (g *GraphX) pregelLoop(sc *rdd.Context, d *engine.Dataset, gr *graph.Graph,
 			Iteration: iters, Active: n, Updates: changed,
 			Seconds: (sc.Cluster.Clock() - iterStart) / dil,
 		})
-		if stageErr == nil {
-			if opt.CheckpointEvery > 0 && iters%opt.CheckpointEvery == 0 {
-				stageErr = sc.Checkpoint(float64(n)*16 + float64(work.NumEdges())*12)
-				if stageErr == nil {
-					lastCkpt = iters
-				}
-			} else {
-				stageErr = sc.ExtendLineage(int64(float64(n) * d.Scale * lineageBytesPerVertexIter * dil / float64(sc.Cluster.Size())))
-			}
-		}
-		if stageErr == nil {
-			if err := sc.Cluster.Boundary(iters - 1); err != nil {
-				if opt.Recover && sim.IsRecoverable(err) {
-					stageErr = g.recoverPartition(sc, (iters-lastCkpt)*stagesPerIteration, perStage, &res.Costs)
-				} else {
-					stageErr = err
-				}
-			}
-		}
 		if stageErr != nil {
-			res.Iterations = int(float64(iters)*dil + 0.5)
-			g.fill(res, w, values)
 			return stageErr
 		}
-
-		switch w.Kind {
-		case engine.PageRank:
-			if w.MaxIterations > 0 && iters >= w.MaxIterations {
-				goto done
+		if opt.CheckpointEvery > 0 && iters%opt.CheckpointEvery == 0 {
+			stageErr = sc.Checkpoint(float64(n)*16 + float64(work.NumEdges())*12)
+			if stageErr == nil {
+				lastCkpt = iters
 			}
-			if w.MaxIterations <= 0 && maxDelta < w.Tolerance {
-				goto done
-			}
-		case engine.KHop:
-			if iters >= w.K {
-				goto done
-			}
-		default:
-			if changed == 0 {
-				goto done
-			}
+		} else {
+			stageErr = sc.ExtendLineage(int64(float64(n) * d.Scale * lineageBytesPerVertexIter * dil / float64(sc.Cluster.Size())))
 		}
-	}
-done:
-	res.Iterations = int(float64(iters)*dil + 0.5)
-	g.fill(res, w, values)
-	return nil
+		if stageErr != nil {
+			return stageErr
+		}
+		if err := sc.Cluster.Boundary(iters - 1); err != nil {
+			if opt.Recover && sim.IsRecoverable(err) {
+				return g.recoverPartition(sc, (iters-lastCkpt)*stagesPerIteration, perStage, &res.Costs)
+			}
+			return err
+		}
+		return nil
+	})
+	res.Iterations = d.DilatedIterations(w.Kind, iters)
+	res.SetOutputs(w.Kind, values)
+	return err
 }
 
 // recoverPartition survives a lost machine the Spark way: the dead
@@ -452,27 +350,4 @@ func (g *GraphX) lpaStages(sc *rdd.Context, d *engine.Dataset, gr *graph.Graph, 
 	res.Iterations = iters
 	res.Labels = labels
 	return err
-}
-
-func (g *GraphX) fill(res *engine.Result, w engine.Workload, values []float64) {
-	switch w.Kind {
-	case engine.PageRank:
-		res.Ranks = values
-	case engine.WCC:
-		labels := make([]graph.VertexID, len(values))
-		for i, v := range values {
-			labels[i] = graph.VertexID(v)
-		}
-		res.Labels = labels
-	default:
-		dist := make([]int32, len(values))
-		for i, v := range values {
-			if math.IsInf(v, 1) {
-				dist[i] = -1
-			} else {
-				dist[i] = int32(v)
-			}
-		}
-		res.Dist = dist
-	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"graphbench/internal/engine"
 	"graphbench/internal/graph"
+	"graphbench/internal/kernel"
 	"graphbench/internal/sim"
 	"graphbench/internal/singlethread"
 )
@@ -225,88 +226,15 @@ func (h *Hadoop) iterate(c *sim.Cluster, d *engine.Dataset, gr *graph.Graph, w e
 		adjBytes *= 2
 	}
 
-	values := make([]float64, n)
-	contrib := make([]float64, n)
-	next := make([]float64, n)
-	for v := range values {
-		switch w.Kind {
-		case engine.PageRank:
-			values[v] = 1
-		case engine.WCC:
-			values[v] = float64(v)
-		default:
-			values[v] = math.Inf(1)
-		}
-	}
-	if w.Kind == engine.SSSP || w.Kind == engine.KHop {
-		values[d.Source] = 0
-	}
-
-	iters := 0
-	for {
-		iters++
-		var msgs float64
-		maxDelta := 0.0
-		changed := 0
-
-		switch w.Kind {
-		case engine.PageRank:
-			for v := 0; v < n; v++ {
-				if deg := work.OutDegree(graph.VertexID(v)); deg > 0 {
-					contrib[v] = values[v] / float64(deg)
-					msgs += float64(deg)
-				} else {
-					contrib[v] = 0
-				}
-			}
-			for v := 0; v < n; v++ {
-				sum := 0.0
-				for _, u := range work.InNeighbors(graph.VertexID(v)) {
-					sum += contrib[u]
-				}
-				nv := w.Damping + (1-w.Damping)*sum
-				if dd := math.Abs(nv - values[v]); dd > maxDelta {
-					maxDelta = dd
-				}
-				next[v] = nv
-			}
-			values, next = next, values
-		default:
-			// HashMin / BFS relaxation: map emits values along edges,
-			// reduce takes the min. Hadoop scans every record whether
-			// or not it changed — the frontier does not shrink the job.
-			copy(next, values)
-			for v := 0; v < n; v++ {
-				if math.IsInf(values[v], 1) {
-					continue
-				}
-				emit := values[v]
-				if w.Kind != engine.WCC {
-					emit++
-				}
-				for _, u := range work.OutNeighbors(graph.VertexID(v)) {
-					msgs++
-					if emit < next[u] {
-						next[u] = emit
-					}
-				}
-			}
-			for v := range next {
-				if next[v] != values[v] {
-					changed++
-				}
-			}
-			values, next = next, values
-		}
-
+	// Hadoop scans every record whether or not it changed — the frontier
+	// does not shrink the job.
+	values, iters, err := kernel.FullScanRounds(work, w, d.Source, func(iters int, msgs float64, changed int) error {
 		res.PerIteration = append(res.PerIteration, engine.IterStat{Iteration: iters, Active: n, Updates: changed})
 
 		// The HaLoop shuffle bug: on large clusters mapper output is
 		// occasionally deleted before all reducers consume it, killing
 		// the run after a few iterations (§5.10).
 		if h.ShuffleBugAt > 0 && c.Size() >= 64 && iters >= h.ShuffleBugAt {
-			res.Iterations = iters
-			h.fill(res, w, values)
 			return &sim.Failure{Status: sim.SHFL,
 				Detail: "mapper output deleted before reducers consumed it"}
 		}
@@ -329,34 +257,16 @@ func (h *Hadoop) iterate(c *sim.Cluster, d *engine.Dataset, gr *graph.Graph, w e
 			jc.interBytes = msgs * d.Scale * h.Profile.MsgBytes
 			jc.reduceOut = stateBytes + adjBytes*0.3
 		}
-		if err := jr.run(jc); err != nil {
-			res.Iterations = iters
-			h.fill(res, w, values)
-			return err
-		}
-
-		switch w.Kind {
-		case engine.PageRank:
-			if w.MaxIterations > 0 && iters >= w.MaxIterations {
-				goto done
-			}
-			if w.MaxIterations <= 0 && maxDelta < w.Tolerance {
-				goto done
-			}
-		case engine.KHop:
-			if iters >= w.K {
-				goto done
-			}
-		default:
-			if changed == 0 {
-				goto done
-			}
-		}
+		return jr.run(jc)
+	})
+	// A chain that died mid-way reports the jobs it ran; a finished one
+	// reports iterations at paper scale.
+	res.Iterations = iters
+	if err == nil {
+		res.Iterations = d.DilatedIterations(w.Kind, iters)
 	}
-done:
-	res.Iterations = int(float64(iters)*dil + 0.5)
-	h.fill(res, w, values)
-	return nil
+	res.SetOutputs(w.Kind, values)
+	return err
 }
 
 // triangles runs degree-ordered triangle counting as a three-job chain:
@@ -467,27 +377,4 @@ func (h *Hadoop) lpa(c *sim.Cluster, d *engine.Dataset, gr *graph.Graph, w engin
 	res.Iterations = iters
 	res.Labels = labels
 	return err
-}
-
-func (h *Hadoop) fill(res *engine.Result, w engine.Workload, values []float64) {
-	switch w.Kind {
-	case engine.PageRank:
-		res.Ranks = values
-	case engine.WCC:
-		labels := make([]graph.VertexID, len(values))
-		for i, v := range values {
-			labels[i] = graph.VertexID(v)
-		}
-		res.Labels = labels
-	default:
-		dist := make([]int32, len(values))
-		for i, v := range values {
-			if math.IsInf(v, 1) {
-				dist[i] = -1
-			} else {
-				dist[i] = int32(v)
-			}
-		}
-		res.Dist = dist
-	}
 }

@@ -88,8 +88,8 @@ func NewProfile(d *engine.Dataset, g *graph.Graph) *Profile {
 		p.Density = float64(st.Edges) / float64(st.Vertices)
 	}
 	ecc := graph.Eccentricity(g, d.Source)
-	p.DepthSSSP = int(float64(ecc)*d.DilationFor(engine.SSSP) + 0.5)
-	p.DepthWCC = int(float64(graph.HashMinRounds(g))*d.DilationFor(engine.WCC) + 0.5)
+	p.DepthSSSP = d.DilatedIterations(engine.SSSP, ecc)
+	p.DepthWCC = d.DilatedIterations(engine.WCC, graph.HashMinRounds(g))
 	p.Class = Classify(p.Dataset, p.Skew, p.Diameter)
 	return p
 }

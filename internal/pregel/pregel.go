@@ -12,7 +12,6 @@ import (
 	"graphbench/internal/engine"
 	"graphbench/internal/graph"
 	"graphbench/internal/hdfs"
-	"graphbench/internal/partition"
 	"graphbench/internal/sim"
 )
 
@@ -90,33 +89,10 @@ func (g *Giraph) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt e
 	}
 	res.Load = c.Clock() - mark
 
-	// Execute.
+	// Execute. Every superstep touches all owned vertex partitions.
 	mark = c.Clock()
-	cut := partition.EdgeCut{M: m, Seed: 7}
-	cfg := bsp.Config{
-		Graph:           gr,
-		Scale:           d.Scale,
-		M:               m,
-		MachineOf:       cut.MachineOf,
-		Profile:         &prof,
-		ScanAll:         true,
-		Shards:          opt.Shards,
-		Pool:            opt.Pool,
-		RecordIterStats: true,
-		CheckpointEvery: opt.CheckpointInterval(),
-		Direction:       opt.Direction,
-		Governor:        opt.Governor,
-		ShardPlan:       opt.ShardPlan,
-		MemoryTier:      opt.MemoryTier,
-	}
-	configureWorkload(&cfg, w, d, opt)
-	out, err := bsp.Run(c, cfg)
+	err = bsp.RunWorkload(c, &prof, true, gr, d, w, opt, res)
 	res.Exec = c.Clock() - mark
-	res.Iterations = dilatedIterations(out.Supersteps, cfg.TimeDilation)
-	res.Costs = out.Recovery
-	res.Govern = out.Govern
-	res.PerIteration = out.IterStats
-	fillOutputs(res, w, out)
 	if err != nil {
 		return res.Finish(c, err)
 	}
@@ -143,19 +119,8 @@ func (g *Giraph) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt e
 // until the run ends.
 func chargeLoad(c *sim.Cluster, prof *sim.Profile, d *engine.Dataset, gr *graph.Graph, w engine.Workload) (int64, error) {
 	m := c.Size()
-	bytes := d.FileBytes(graph.FormatAdj)
-	perMachine := float64(bytes) / float64(m)
-	costs := make([]sim.StepCost, m)
 	parse := prof.EdgeSeconds(float64(gr.NumEdges())*d.Scale/float64(m), c.Config().Cores)
-	for i := range costs {
-		costs[i] = sim.StepCost{
-			ComputeSeconds: parse,
-			DiskReadBytes:  perMachine,
-			NetSendBytes:   perMachine * float64(m-1) / float64(m),
-			NetRecvBytes:   perMachine * float64(m-1) / float64(m),
-		}
-	}
-	if err := c.RunStep(costs); err != nil {
+	if err := c.ShuffleRead(d.FileBytes(graph.FormatAdj), parse); err != nil {
 		return 0, err
 	}
 
@@ -163,78 +128,5 @@ func chargeLoad(c *sim.Cluster, prof *sim.Profile, d *engine.Dataset, gr *graph.
 	graphBytes := float64(gr.NumVertices())*d.Scale*prof.VertexBytes*vf +
 		float64(gr.NumEdges())*d.Scale*prof.EdgeBytes*ef
 	perMachineMem := int64(graphBytes/float64(m)*prof.Imbalance) + prof.PerMachineBase
-	for i := 0; i < m; i++ {
-		if err := c.Alloc(i, perMachineMem); err != nil {
-			return perMachineMem, err
-		}
-	}
-	return perMachineMem, nil
-}
-
-// configureWorkload wires the §3 vertex programs into the BSP config.
-func configureWorkload(cfg *bsp.Config, w engine.Workload, d *engine.Dataset, opt engine.Options) {
-	switch w.Kind {
-	case engine.PageRank:
-		cfg.Program = &bsp.PageRankProgram{Damping: w.Damping}
-		cfg.Combine = bsp.SumCombine
-		cfg.StopDeltaBelow = w.Tolerance
-		cfg.FixedSupersteps = w.MaxIterations
-	case engine.WCC:
-		cfg.Program = bsp.WCCProgram{}
-		cfg.Combine = bsp.MinCombine
-		cfg.CombineFrom = 1
-		cfg.UseInNeighbors = true
-		cfg.TimeDilation = d.DilationFor(engine.WCC)
-	case engine.SSSP:
-		cfg.Program = &bsp.SSSPProgram{Source: d.Source}
-		cfg.Combine = bsp.MinCombine
-		cfg.TimeDilation = d.DilationFor(engine.SSSP)
-	case engine.KHop:
-		cfg.Program = &bsp.KHopProgram{Source: d.Source, K: w.K}
-		cfg.Combine = bsp.MinCombine
-	case engine.Triangle:
-		// The degree-ordered orientation replaces the loaded graph so
-		// candidate message volume matches every other engine's; credits
-		// (sent from superstep 1 on) may be sum-combined.
-		oriented, rank := graph.ForwardOrient(cfg.Graph)
-		cfg.Graph = oriented
-		cfg.Program = &bsp.TriangleProgram{Rank: rank}
-		cfg.Combine = bsp.SumCombine
-		cfg.CombineFrom = 1
-	case engine.LPA:
-		// Synchronous rounds over the undirected simple view; no
-		// combiner — label frequencies matter.
-		cfg.Graph = cfg.Graph.Simple()
-		cfg.Program = &bsp.LPAProgram{Rounds: w.LPAIterations()}
-	}
-	if opt.DisableCombiner {
-		cfg.Combine = nil
-	}
-	if w.MaxIterations > 0 && w.Kind != engine.PageRank && w.Kind != engine.LPA {
-		cfg.MaxSupersteps = w.MaxIterations
-	}
-}
-
-// dilatedIterations reports iteration counts at paper scale.
-func dilatedIterations(supersteps int, dilation float64) int {
-	if dilation < 1 {
-		dilation = 1
-	}
-	return int(float64(supersteps)*dilation + 0.5)
-}
-
-// fillOutputs maps BSP values onto the result's typed outputs.
-func fillOutputs(res *engine.Result, w engine.Workload, out *bsp.Output) {
-	switch w.Kind {
-	case engine.PageRank:
-		res.Ranks = out.Values
-	case engine.WCC:
-		res.Labels = bsp.LabelsFromValues(out.Values)
-	case engine.SSSP, engine.KHop:
-		res.Dist = bsp.DistancesFromValues(out.Values)
-	case engine.Triangle:
-		res.Triangles = bsp.TrianglesFromValues(out.Values)
-	case engine.LPA:
-		res.Labels = bsp.CommunityLabelsFromValues(out.Values)
-	}
+	return perMachineMem, c.AllocAll(perMachineMem)
 }

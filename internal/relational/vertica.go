@@ -66,17 +66,13 @@ func (e *Vertica) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt 
 		return res.Finish(c, err)
 	}
 	edgeBytes := float64(gr.NumEdges()) * d.Scale * edgeRowBytes
-	loadCosts := make([]sim.StepCost, m)
 	parse := e.Profile.RecordSeconds(float64(gr.NumEdges())*d.Scale/float64(m), c.Config().Cores)
-	for i := range loadCosts {
-		loadCosts[i] = sim.StepCost{
-			ComputeSeconds: parse * 2, // parse + sort for the projection
-			DiskWriteBytes: edgeBytes / float64(m) * 2,
-			NetSendBytes:   edgeBytes / float64(m),
-			NetRecvBytes:   edgeBytes / float64(m),
-		}
-	}
-	if err := c.RunStep(loadCosts); err != nil {
+	if err := c.UniformStep(sim.StepCost{
+		ComputeSeconds: parse * 2, // parse + sort for the projection
+		DiskWriteBytes: edgeBytes / float64(m) * 2,
+		NetSendBytes:   edgeBytes / float64(m),
+		NetRecvBytes:   edgeBytes / float64(m),
+	}); err != nil {
 		return res.Finish(c, err)
 	}
 	res.Load = c.Clock() - mark
@@ -104,11 +100,7 @@ func (e *Vertica) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt 
 	// Save: the final vertex table is already a table; export it.
 	mark = c.Clock()
 	outBytes := float64(work.NumVertices()) * d.Scale * vertexRowBytes
-	saveCosts := make([]sim.StepCost, m)
-	for i := range saveCosts {
-		saveCosts[i] = sim.StepCost{DiskWriteBytes: outBytes / float64(m)}
-	}
-	saveErr := c.RunStep(saveCosts)
+	saveErr := c.UniformStep(sim.StepCost{DiskWriteBytes: outBytes / float64(m)})
 	res.Save = c.Clock() - mark
 	return res.Finish(c, saveErr)
 }
@@ -124,17 +116,13 @@ func (e *Vertica) chargeIteration(c *sim.Cluster, d *engine.Dataset, scanRows, s
 	write := outRows * d.Scale * vertexRowBytes * 2 / m // new table + WOS flush
 	net := shuffleRows * d.Scale * float64(p.MsgBytes) / m
 
-	costs := make([]sim.StepCost, c.Size())
-	for i := range costs {
-		costs[i] = sim.StepCost{
-			ComputeSeconds: cpu * dil,
-			DiskReadBytes:  read * dil,
-			DiskWriteBytes: write,
-			NetSendBytes:   net,
-			NetRecvBytes:   net,
-		}
-	}
-	if err := c.RunStep(costs); err != nil {
+	if err := c.UniformStep(sim.StepCost{
+		ComputeSeconds: cpu * dil,
+		DiskReadBytes:  read * dil,
+		DiskWriteBytes: write,
+		NetSendBytes:   net,
+		NetRecvBytes:   net,
+	}); err != nil {
 		return err
 	}
 	return c.Advance((tempTableFixed + tempTablePerMachine*m) * dil)
@@ -223,11 +211,7 @@ func (e *Vertica) iterate(c *sim.Cluster, d *engine.Dataset, work *graph.Graph,
 		rounds := w.LPAIterations()
 		finish := func(iters int) {
 			res.Iterations = iters
-			out := make([]graph.VertexID, n)
-			for v := range labels {
-				out[v] = graph.VertexID(labels[v])
-			}
-			res.Labels = graph.CanonicalizeLabels(out)
+			res.SetOutputs(engine.LPA, labels)
 		}
 		// Symmetrize: CREATE TABLE und AS SELECT both directions.
 		if err := e.chargeIteration(c, d, eRows, uRows, uRows/2, 1); err != nil {
@@ -309,24 +293,8 @@ func (e *Vertica) iterate(c *sim.Cluster, d *engine.Dataset, work *graph.Graph,
 				break
 			}
 		}
-		res.Iterations = int(float64(iters)*dil + 0.5)
-		if w.Kind == engine.WCC {
-			labels := make([]graph.VertexID, n)
-			for v := range vals {
-				labels[v] = graph.VertexID(vals[v])
-			}
-			res.Labels = labels
-		} else {
-			dist := make([]int32, n)
-			for v := range vals {
-				if math.IsInf(vals[v], 1) {
-					dist[v] = -1
-				} else {
-					dist[v] = int32(vals[v])
-				}
-			}
-			res.Dist = dist
-		}
+		res.Iterations = d.DilatedIterations(w.Kind, iters)
+		res.SetOutputs(w.Kind, vals)
 		return nil
 	}
 }

@@ -316,6 +316,21 @@ func (c *Cluster) UniformStep(cost StepCost) error {
 	return c.RunStep(costs)
 }
 
+// ShuffleRead runs the load step of the hash-partitioned engines: every
+// machine reads its 1/m slice of a file of the given size from disk,
+// parses it for parseSeconds, and exchanges the (m-1)/m of it that
+// hashes to another machine.
+func (c *Cluster) ShuffleRead(bytes int64, parseSeconds float64) error {
+	m := float64(len(c.machines))
+	per := float64(bytes) / m
+	return c.UniformStep(StepCost{
+		ComputeSeconds: parseSeconds,
+		DiskReadBytes:  per,
+		NetSendBytes:   per * (m - 1) / m,
+		NetRecvBytes:   per * (m - 1) / m,
+	})
+}
+
 // Advance moves the clock forward without charging any machine — used
 // for framework overheads (job scheduling, teardown).
 func (c *Cluster) Advance(seconds float64) error {
