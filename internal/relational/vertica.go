@@ -263,6 +263,7 @@ func (e *Vertica) iterate(c *sim.Cluster, d *engine.Dataset, work *graph.Graph,
 		}
 
 		iters := 0
+		var err error
 		for {
 			iters++
 			mins := JoinMinByDst(src, dst, vals, active, delta, math.Inf(1), n)
@@ -283,7 +284,7 @@ func (e *Vertica) iterate(c *sim.Cluster, d *engine.Dataset, work *graph.Graph,
 			}
 			active = nextActive
 			res.PerIteration = append(res.PerIteration, engine.IterStat{Iteration: iters, Active: int(activeRows), Updates: changed})
-			if err := e.chargeIteration(c, d, eRows, activeRows*4, float64(changed), dil); err != nil {
+			if err = e.chargeIteration(c, d, eRows, activeRows*4, float64(changed), dil); err != nil {
 				break
 			}
 			if changed == 0 {
@@ -295,6 +296,6 @@ func (e *Vertica) iterate(c *sim.Cluster, d *engine.Dataset, work *graph.Graph,
 		}
 		res.Iterations = d.DilatedIterations(w.Kind, iters)
 		res.SetOutputs(w.Kind, vals)
-		return nil
+		return err
 	}
 }

@@ -94,3 +94,26 @@ func TestNoOOMEver(t *testing.T) {
 		t.Fatalf("Vertica ClueWeb K-hop at 16: %v", res.Status)
 	}
 }
+
+// TestTimeoutMidTraversalStopsTheRun: a traversal whose iteration trips
+// the clock ends there, as the PageRank and LPA chains do — it must not
+// go on to charge a save step and be reported TO only because that step
+// trips the same clock.
+func TestTimeoutMidTraversalStopsTheRun(t *testing.T) {
+	f := enginetest.Prepare(t, datasets.Twitter, 400_000)
+	for _, w := range []engine.Workload{engine.NewSSSP(f.Dataset.Source), engine.NewWCC(), engine.NewPageRank()} {
+		full := enginetest.RunOK(t, New(), f, 16, w, engine.Options{})
+		cfg := sim.NewConfig(16)
+		cfg.Timeout = full.Load + full.Exec/2
+		res := New().Run(sim.New(cfg), f.Dataset, w, engine.Options{})
+		if res.Status != sim.TO || res.Save != 0 {
+			t.Errorf("%s: status %v, save %v s; want TO with no save step", w.Kind, res.Status, res.Save)
+		}
+		if res.Iterations == 0 || res.Iterations >= full.Iterations {
+			t.Errorf("%s: %d iterations reported, full run took %d", w.Kind, res.Iterations, full.Iterations)
+		}
+		if res.Dist == nil && res.Labels == nil && res.Ranks == nil {
+			t.Errorf("%s: timed-out run carries no partial output", w.Kind)
+		}
+	}
+}
