@@ -46,13 +46,13 @@ type cacheEntry struct {
 // burning a second admission slot on identical work.
 //
 // The leader computes in a detached goroutine, so a leader whose
-// client disconnects mid-run still finishes and warms the cache for the
-// next request (slot queueing happens inside compute and does respect
-// the caller's deadline, so abandoned requests never hold a queue
-// position). Failed *runs* (OOM,
-// timeout — deterministic modeled outcomes) are cached like successes;
-// only errors (fixture failures, overload, deadline) evict the entry so
-// a later request retries.
+// client disconnects — while queued for admission or mid-run — neither
+// fails the requests coalesced onto its entry nor wastes the run: the
+// computation finishes and warms the cache. compute must therefore not
+// depend on the leader's context; ctx bounds only the caller's own
+// wait. Failed *runs* (OOM, timeout — deterministic modeled outcomes)
+// are cached like successes; only errors (fixture failures, overload,
+// deadline) evict the entry so a later request retries.
 type resultCache struct {
 	mu sync.Mutex
 	m  map[runKey]*cacheEntry

@@ -593,7 +593,13 @@ func (s *Server) handleQuery(kind engine.Kind) http.HandlerFunc {
 		}
 
 		res, cacheStatus, err := s.cache.get(ctx, q.key, func() (*engine.Result, error) {
-			return s.compute(ctx, q, kind)
+			// The flight belongs to the server, not to the request that
+			// happened to start it: followers coalesce onto it, so only
+			// its own deadline — never the leader's disconnect — may end
+			// its wait for admission.
+			flight, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
+			defer cancel()
+			return s.compute(flight, q, kind)
 		})
 		if err != nil {
 			switch {

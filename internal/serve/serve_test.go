@@ -441,3 +441,64 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 	t.Fatal("condition not reached within 2s")
 }
+
+// TestServerFollowerSurvivesLeaderDisconnect: a coalesced follower must
+// not inherit the leader's cancellation. With the only slot held busy,
+// a leader and a follower queue on one key; the leader's client goes
+// away; once the slot frees, the follower is answered 200 and the
+// result is cached.
+func TestServerFollowerSurvivesLeaderDisconnect(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: 2})
+	url := ts.URL + "/v1/wcc?vertex=3"
+
+	blocker, err := s.sched.acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Released exactly once, also when an assertion fails first: Close
+	// (in the test cleanup) waits for every slot to come back.
+	var release sync.Once
+	defer release.Do(func() { s.sched.release(blocker) })
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderDone := make(chan error, 1)
+	go func() {
+		req, _ := http.NewRequestWithContext(leaderCtx, http.MethodGet, url, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		leaderDone <- err
+	}()
+	waitFor(t, func() bool { return s.sched.queueDepth() == 1 })
+
+	followerCode := make(chan int, 1)
+	go func() {
+		code, _, _ := get(t, url)
+		followerCode <- code
+	}()
+	waitFor(t, func() bool { _, _, coalesced := s.cache.stats(); return coalesced == 1 })
+
+	cancelLeader()
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader request ended with %v, want its own cancellation", err)
+	}
+	// The slot frees only after the server has seen the disconnect and
+	// finished the leader's handler.
+	waitFor(t, func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.requests >= 1
+	})
+	if depth := s.sched.queueDepth(); depth != 1 {
+		t.Fatalf("flight left the admission queue with its leader (depth %d)", depth)
+	}
+	release.Do(func() { s.sched.release(blocker) })
+
+	if code := <-followerCode; code != http.StatusOK {
+		t.Fatalf("follower answered %d after the leader disconnected, want 200", code)
+	}
+	if code, hdr, _ := get(t, url); code != http.StatusOK || hdr.Get("X-Graphserve-Cache") != "hit" {
+		t.Fatalf("replay: %d cache=%q, want a cached 200", code, hdr.Get("X-Graphserve-Cache"))
+	}
+}
