@@ -404,13 +404,6 @@ func (r *Runner) TryRun(s System, name datasets.Name, kind engine.Kind, machines
 	return r.tryRun(s, name, kind, machines, r.Shards, nil, FaultOpts{})
 }
 
-// TryRunOn is TryRun with the engine's shard loops borrowing the given
-// persistent pool (serve mode keeps one warm per admission slot, so
-// steady-state requests spawn no goroutines).
-func (r *Runner) TryRunOn(pool *par.Pool, s System, name datasets.Name, kind engine.Kind, machines int) (*engine.Result, error) {
-	return r.tryRun(s, name, kind, machines, r.Shards, pool, FaultOpts{})
-}
-
 // FaultOpts configures fault injection and recovery for one run.
 type FaultOpts struct {
 	// Injector, when non-nil, is installed on the run's fresh cluster
@@ -458,10 +451,13 @@ func (r *Runner) TryRunAuto(pool *par.Pool, f FaultOpts, name datasets.Name, kin
 	return res, d, nil
 }
 
-// TryRunFault is TryRunOn with a fault-injection plan: the run's
-// cluster gets the injector, and the engine runs with recovery
-// configured per f. The serve path and the fault-matrix tests use this
-// to compare faulted runs against clean ones.
+// TryRunFault is TryRun with the engine's shard loops borrowing the
+// given persistent pool (serve mode keeps one warm per admission slot,
+// so steady-state requests spawn no goroutines; nil means a private
+// pool) and a fault-injection plan: the run's cluster gets the injector,
+// and the engine runs with recovery configured per f. The serve path
+// and the fault-matrix tests use this to compare faulted runs against
+// clean ones.
 func (r *Runner) TryRunFault(pool *par.Pool, f FaultOpts, s System, name datasets.Name, kind engine.Kind, machines int) (*engine.Result, error) {
 	return r.tryRun(s, name, kind, machines, r.Shards, pool, f)
 }

@@ -129,19 +129,19 @@ func TestTryDatasetErrors(t *testing.T) {
 	}()
 }
 
-// TestTryRunOnBorrowedPool: a run on an externally owned pool must not
-// close it, and must produce the same result as a standalone run (shard
-// count only changes wall time).
-func TestTryRunOnBorrowedPool(t *testing.T) {
+// TestTryRunFaultBorrowedPool: a run on an externally owned pool must
+// not close it, and must produce the same result as a standalone run
+// (shard count only changes wall time).
+func TestTryRunFaultBorrowedPool(t *testing.T) {
 	r := NewRunner(2_000_000, 1)
 	s, _ := SystemByKey("giraph")
 	pool := par.New(2)
 	defer pool.Close()
-	a, err := r.TryRunOn(pool, s, datasets.Twitter, engine.PageRank, 16)
+	a, err := r.TryRunFault(pool, FaultOpts{}, s, datasets.Twitter, engine.PageRank, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.TryRunOn(pool, s, datasets.Twitter, engine.PageRank, 16)
+	b, err := r.TryRunFault(pool, FaultOpts{}, s, datasets.Twitter, engine.PageRank, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
