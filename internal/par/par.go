@@ -1,13 +1,13 @@
 // Package par is the shared parallel-execution layer: a persistent
 // worker runtime, contiguous vertex-range sharding (uniform or
 // weight-balanced), and order-preserving map helpers. The runtimes
-// (bsp, gas, blogel) shard their hot per-vertex loops over a Plan and
-// merge per-shard accumulators in shard order, so a run's outputs and
-// modeled costs are bit-identical for every worker count — the property
-// internal/enginetest's determinism tests lock in. The harness uses the
-// same pool to run independent experiments of a grid concurrently (each
-// run owns a private sim.Cluster, so the matrix is embarrassingly
-// parallel).
+// (bsp, kernel, gas, blogel) shard their hot per-vertex loops over a
+// Plan and merge per-shard accumulators in shard order, so a run's
+// outputs and modeled costs are bit-identical for every worker count —
+// the property internal/enginetest's determinism tests lock in. The
+// harness uses the same pool to run independent experiments of a grid
+// concurrently (each run owns a private sim.Cluster, so the matrix is
+// embarrassingly parallel).
 //
 // Pools are persistent: New launches its helper goroutines once and
 // every subsequent ForEach dispatch reuses them, so a steady-state
