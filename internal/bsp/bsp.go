@@ -1,6 +1,7 @@
 // Package bsp is the vertex-centric Bulk Synchronous Parallel runtime
 // shared by the Pregel-style engines (Giraph in internal/pregel,
-// Blogel-V in internal/blogel): per-machine vertex partitions, message
+// Blogel-V in internal/blogel, Gelly in internal/dataflow), which enter
+// it through RunWorkload: per-machine vertex partitions, message
 // passing with optional sender-side combiners, vote-to-halt semantics,
 // aggregator-based stopping, and per-superstep resource charging
 // against the simulated cluster.
