@@ -468,11 +468,24 @@ func Run(cluster *sim.Cluster, cfg Config) (*Output, error) {
 			b := &ss.out[d]
 			b.dst, b.srcM, b.val = b.dst[:0], b.srcM[:0], b.val[:0]
 		}
+		if ss.spill != nil {
+			ss.spill.reset()
+		}
+		oc := rt.oc
 		s := rt.plan.Shard(i)
 		for v := s.Lo; v < s.Hi; v++ {
-			msgs := rt.inVals[rt.inStart[v] : rt.inStart[v]+rt.inLen[v]]
-			if rt.halted[v] && len(msgs) == 0 {
+			start, mlen := rt.inStart[v], rt.inLen[v]
+			if rt.halted[v] && mlen == 0 {
 				continue
+			}
+			// The one difference between the tiers: a vertex's pending
+			// messages come from the resident arena, or out of core from
+			// the shard's streamed inbox region.
+			var msgs []float64
+			if oc != nil {
+				msgs = oc.inboxMsgs(i, start, mlen)
+			} else {
+				msgs = rt.inVals[start : start+mlen]
 			}
 			rt.halted[v] = false
 			ss.active++
@@ -494,39 +507,68 @@ func Run(cluster *sim.Cluster, cfg Config) (*Output, error) {
 		for v := s.Lo; v < s.Hi; v++ {
 			cnt[v] = 0
 		}
-		for _, ss := range rt.shards {
-			for _, w := range ss.out[s.Index].dst {
-				cnt[w]++
+		for _, src := range rt.shards {
+			for k := 0; ; k++ {
+				b, last, ok := src.segment(i, s.Index, k)
+				if !ok {
+					return
+				}
+				for _, w := range b.dst {
+					cnt[w]++
+				}
+				if last {
+					break
+				}
 			}
 		}
 		// Layout sub-pass: finalize CSR offsets from the counts within
 		// the shard's pre-assigned arena region, resetting nextLen to
 		// act as the deposit write cursor.
-		run := rt.shardBase[i]
+		base := rt.shardBase[i]
+		run := base
 		for v := s.Lo; v < s.Hi; v++ {
 			rt.nextStart[v] = run
-			run += rt.nextLen[v]
-			rt.nextLen[v] = 0
+			run += cnt[v]
+			cnt[v] = 0
 		}
-		// Deposit sub-pass: replay the buffers in source-shard order
-		// into the arena and the combiner state.
+		// The shard's region is its slice of the resident arena, or out
+		// of core a bounded buffer sealed to a segment file below.
+		var region []float64
+		if rt.oc == nil {
+			region = rt.nextVals[base:run]
+		} else if region = rt.oc.region(i, int(run-base)); region == nil && run != base {
+			return
+		}
+		// Deposit sub-pass: replay the streams in source-shard order
+		// into the region and the combiner state.
 		var d delivery
 		tag := int32(rt.superstep)
-		for _, ss := range rt.shards {
-			b := &ss.out[s.Index]
-			for k, dst := range b.dst {
-				del, cross := rt.deposit(b.srcM[k], dst, b.val[k], tag)
-				d.delivered += del
-				d.cross += cross
+		for _, src := range rt.shards {
+			for k := 0; ; k++ {
+				b, last, ok := src.segment(i, s.Index, k)
+				if !ok {
+					return
+				}
+				for j, dst := range b.dst {
+					del, cross := rt.deposit(region, base, b.srcM[j], dst, b.val[j], tag)
+					d.delivered += del
+					d.cross += cross
+				}
+				if last {
+					break
+				}
 			}
 		}
 		rt.merged[i] = d
+		if rt.oc != nil {
+			rt.oc.writeRegion(i, region, base)
+		}
 	}
 	out := &Output{}
 	// The governor decides the execution mode before planes grow: it
-	// may force push (shedding pull scratch) or swap in the out-of-core
-	// phase bodies. It must run before setupDirection and the combiner
-	// allocation below.
+	// may force push (shedding pull scratch) or set up the out-of-core
+	// streams the phase bodies branch on. It must run before
+	// setupDirection and the combiner allocation below.
 	if err := rt.setupGovernor(); err != nil {
 		return out, err
 	}
@@ -559,6 +601,8 @@ func Run(cluster *sim.Cluster, cfg Config) (*Output, error) {
 			}
 		}
 		pulled := rt.pullThisStep()
+		rt.updates, rt.maxDelta = 0, 0
+		rt.sentTotal, rt.deliveredTotal, rt.crossTotal = 0, 0, 0
 		var active int
 		if pulled {
 			active = rt.pullPhase()
@@ -568,6 +612,7 @@ func Run(cluster *sim.Cluster, cfg Config) (*Output, error) {
 			}
 			active = rt.computePhase()
 		}
+		rt.activeTotal = float64(active)
 		if rt.oc != nil {
 			if oerr := rt.oc.firstErr(); oerr != nil {
 				rt.fill(out)
@@ -773,13 +818,6 @@ func (rt *runtime) rollback(out *Output) error {
 // accumulator is either an integer-valued sum or a max, so outputs and
 // modeled costs are bit-identical for any shard count.
 func (rt *runtime) computePhase() int {
-	rt.updates = 0
-	rt.maxDelta = 0
-	rt.sentTotal = 0
-	rt.activeTotal = 0
-	rt.deliveredTotal = 0
-	rt.crossTotal = 0
-
 	// Compute/send pass: vertex-range shards, program order per shard.
 	rt.pool.ForEach(rt.plan.Count(), rt.computeFn)
 
@@ -808,6 +846,15 @@ func (rt *runtime) computePhase() int {
 	// slots.
 	rt.pool.ForEach(rt.plan.Count(), rt.mergeFn)
 
+	active := rt.foldShards()
+	rt.foldDeliveries()
+	return active
+}
+
+// foldShards folds the shards' superstep accumulators into the runtime
+// totals in shard order and returns how many vertices ran. Every phase
+// — push compute, PullSum sweep, min-kind sweep — ends with it.
+func (rt *runtime) foldShards() int {
 	active := 0
 	for _, ss := range rt.shards {
 		active += int(ss.active)
@@ -818,12 +865,33 @@ func (rt *runtime) computePhase() int {
 			rt.maxDelta = ss.maxDelta
 		}
 	}
+	return active
+}
+
+// foldDeliveries folds the per-destination-shard delivery accounting
+// (merge pass or receiver-side count) into the runtime totals and
+// returns the distinct-receiver tally.
+func (rt *runtime) foldDeliveries() (receivers int64) {
 	for _, d := range rt.merged {
 		rt.deliveredTotal += float64(d.delivered)
 		rt.crossTotal += float64(d.cross)
+		receivers += d.receivers
 	}
-	rt.activeTotal = float64(active)
-	return active
+	return receivers
+}
+
+// segment returns piece k of the message stream this shard sent to
+// destination shard d this superstep: its spilled chunks in flush order
+// (read into merge shard mergeIdx's scratch; none on in-core runs), then
+// the in-memory bucket, which is the last piece. Concatenated over the
+// source shards in order, the pieces are the exact sequential send
+// stream. ok is false when a chunk fails to read or verify.
+func (ss *shardState) segment(mergeIdx, d, k int) (b bucket, last, ok bool) {
+	if ss.spill != nil && k < len(ss.spill.chunks[d]) {
+		b.dst, b.srcM, b.val, ok = ss.spill.readChunk(mergeIdx, ss.spill.chunks[d][k])
+		return b, false, ok
+	}
+	return ss.out[d], true, true
 }
 
 // send buffers one message in the sending shard, bucketed by the
@@ -840,24 +908,28 @@ func (ss *shardState) send(srcM int32, dst graph.VertexID, val float64) {
 	}
 }
 
-// deposit applies one buffered message to the destination's arena
-// slots, running the sender-side combiner exactly as the sequential
-// runtime would; slotIdx records the combiner's slot as a global arena
-// index. Only the goroutine owning dst's shard calls deposit for it, so
-// the per-destination state needs no locking. The tag is the superstep
-// the message was sent in — the merge pass passes the current one, the
-// pull-to-push inbox materialization the previous one.
-func (rt *runtime) deposit(srcM int32, dst graph.VertexID, val float64, tag int32) (delivered, cross int64) {
+// deposit applies one buffered message to the destination's slots in
+// region — the arena values from global index base on: a merge shard's
+// slice of the resident arena, its out-of-core region buffer, or the
+// whole arena (base 0) for the pull-to-push materialization — running
+// the sender-side combiner exactly as the sequential runtime would.
+// slotIdx records the combiner's slot as a global arena index in every
+// tier, so checkpoint/rollback state is shared unchanged. Only the
+// goroutine owning dst's shard calls deposit for it, so the
+// per-destination state needs no locking. The tag is the superstep the
+// message was sent in — the merge pass passes the current one, the
+// materialization the previous one.
+func (rt *runtime) deposit(region []float64, base int32, srcM int32, dst graph.VertexID, val float64, tag int32) (delivered, cross int64) {
 	if rt.cfg.Combine != nil && int(tag) >= rt.cfg.CombineFrom {
 		if rt.stamp[srcM][dst] == tag {
-			i := rt.slotIdx[srcM][dst]
-			rt.nextVals[i] = rt.cfg.Combine(rt.nextVals[i], val)
+			i := rt.slotIdx[srcM][dst] - base
+			region[i] = rt.cfg.Combine(region[i], val)
 			return 0, 0 // merged: no new wire message
 		}
 		rt.stamp[srcM][dst] = tag
 		rt.slotIdx[srcM][dst] = rt.nextStart[dst] + rt.nextLen[dst]
 	}
-	rt.nextVals[rt.nextStart[dst]+rt.nextLen[dst]] = val
+	region[rt.nextStart[dst]+rt.nextLen[dst]-base] = val
 	rt.nextLen[dst]++
 	delivered = 1
 	if srcM != rt.owner[dst] {

@@ -27,9 +27,10 @@ package bsp
 // The spill layout preserves the exact sequential message order: a
 // destination's messages are replayed per source shard as that shard's
 // spilled chunks in flush order followed by its in-memory remainder —
-// the same concatenation the in-core merge performs — so the deposit
-// pass, the combiner state, outputs, IterStats, and every modeled cost
-// are bit-identical to in-core execution at every shard count. Modeled
+// the concatenation shardState.segment serves to the one merge body,
+// with zero chunks in core — so the deposit pass, the combiner state,
+// outputs, IterStats, and every modeled cost are bit-identical to
+// in-core execution at every shard count. Modeled
 // costs never see the host strategy at all: out-of-core is a host-side
 // execution detail, like shard count or traversal direction.
 //
@@ -137,8 +138,8 @@ func (rt *runtime) governSizes(threshold int64) governSizes {
 // setupGovernor runs once before any plane is allocated: it leases the
 // run's share of the budget and picks the execution mode. It may force
 // cfg.Direction to push (bit-identical) and, under hard pressure,
-// install the out-of-core phase bodies. A budget below even the
-// out-of-core floor fails with a budgetFailure.
+// set up out-of-core streaming. A budget below even the out-of-core
+// floor fails with a budgetFailure.
 func (rt *runtime) setupGovernor() error {
 	g := rt.cfg.Governor
 	if !g.Enabled() {
@@ -268,9 +269,10 @@ func (oc *oocState) ckptPath(shard int) string {
 	return filepath.Join(oc.dir, fmt.Sprintf("ckpt-inbox-s%d.seg", shard))
 }
 
-// setupOOC writes the edge segments, installs per-shard streams and
-// spill state, and swaps in the out-of-core phase bodies. The fixed
-// buffers it allocates were already charged by setupGovernor.
+// setupOOC writes the edge segments and installs the per-shard streams
+// and spill state the phase bodies' out-of-core branches read (rt.oc,
+// shardState.spill). The fixed buffers it allocates were already
+// charged by setupGovernor.
 func (rt *runtime) setupOOC(threshold int) error {
 	lease := rt.lease
 	dir, err := lease.Dir()
@@ -334,8 +336,6 @@ func (rt *runtime) setupOOC(threshold int) error {
 		oc.chunkBuf[i] = govern.AlignedBytes(threshold + 64)
 	}
 	rt.oc = oc
-	rt.computeFn = rt.oocComputeFn()
-	rt.mergeFn = rt.oocMergeFn()
 	return nil
 }
 
@@ -652,120 +652,6 @@ func (sp *bucketSpill) readChunk(mergeIdx int, ref chunkRef) (dst []graph.Vertex
 		return nil, nil, nil, false
 	}
 	return vidsOf(buf[:4*n]), int32sOf(buf[4*n : 8*n]), floatsOf(buf[8*n : 16*n]), true
-}
-
-// oocComputeFn mirrors the in-core compute/send body, sourcing messages
-// from the streamed inbox regions instead of the resident arena.
-func (rt *runtime) oocComputeFn() func(int) {
-	return func(i int) {
-		ss := rt.shards[i]
-		ss.sent, ss.active, ss.updates, ss.maxDelta = 0, 0, 0, 0
-		for d := range ss.out {
-			b := &ss.out[d]
-			b.dst, b.srcM, b.val = b.dst[:0], b.srcM[:0], b.val[:0]
-		}
-		ss.spill.reset()
-		oc := rt.oc
-		s := rt.plan.Shard(i)
-		for v := s.Lo; v < s.Hi; v++ {
-			mlen := rt.inLen[v]
-			if rt.halted[v] && mlen == 0 {
-				continue
-			}
-			msgs := oc.inboxMsgs(i, rt.inStart[v], mlen)
-			rt.halted[v] = false
-			ss.active++
-			ss.ctx.v = graph.VertexID(v)
-			ss.ctx.srcM = rt.owner[v]
-			rt.cfg.Program.Compute(&ss.ctx, msgs)
-		}
-	}
-}
-
-// oocMergeFn mirrors the in-core fused count+layout+deposit body,
-// folding each source shard's spilled chunks (flush order) before its
-// in-memory remainder — the exact sequential stream — into a region
-// buffer that is then sealed to the shard's next inbox segment.
-func (rt *runtime) oocMergeFn() func(int) {
-	return func(i int) {
-		oc := rt.oc
-		s := rt.plan.Shard(i)
-		cnt := rt.nextLen
-		for v := s.Lo; v < s.Hi; v++ {
-			cnt[v] = 0
-		}
-		for _, src := range rt.shards {
-			for _, ref := range src.spill.chunks[s.Index] {
-				dsts, _, _, ok := src.spill.readChunk(i, ref)
-				if !ok {
-					return
-				}
-				for _, w := range dsts {
-					cnt[w]++
-				}
-			}
-			for _, w := range src.out[s.Index].dst {
-				cnt[w]++
-			}
-		}
-		base := rt.shardBase[i]
-		run := base
-		for v := s.Lo; v < s.Hi; v++ {
-			rt.nextStart[v] = run
-			run += cnt[v]
-			cnt[v] = 0
-		}
-		region := oc.region(i, int(run-base))
-		if region == nil && run != base {
-			return
-		}
-		var d delivery
-		tag := int32(rt.superstep)
-		for _, src := range rt.shards {
-			for _, ref := range src.spill.chunks[s.Index] {
-				dsts, srcMs, vals, ok := src.spill.readChunk(i, ref)
-				if !ok {
-					return
-				}
-				for k, dst := range dsts {
-					del, cross := rt.depositRegion(region, base, srcMs[k], dst, vals[k], tag)
-					d.delivered += del
-					d.cross += cross
-				}
-			}
-			b := &src.out[s.Index]
-			for k, dst := range b.dst {
-				del, cross := rt.depositRegion(region, base, b.srcM[k], dst, b.val[k], tag)
-				d.delivered += del
-				d.cross += cross
-			}
-		}
-		rt.merged[i] = d
-		oc.writeRegion(i, region, base)
-	}
-}
-
-// depositRegion is deposit against a region buffer: identical logic and
-// float operations, with arena indices translated by the region base
-// (the combiner's slotIdx stays a global arena index, exactly as
-// in-core, so checkpoint/rollback state is shared unchanged).
-func (rt *runtime) depositRegion(region []float64, base int32, srcM int32, dst graph.VertexID, val float64, tag int32) (delivered, cross int64) {
-	if rt.cfg.Combine != nil && int(tag) >= rt.cfg.CombineFrom {
-		if rt.stamp[srcM][dst] == tag {
-			i := rt.slotIdx[srcM][dst] - base
-			region[i] = rt.cfg.Combine(region[i], val)
-			return 0, 0 // merged: no new wire message
-		}
-		rt.stamp[srcM][dst] = tag
-		rt.slotIdx[srcM][dst] = rt.nextStart[dst] + rt.nextLen[dst]
-	}
-	region[rt.nextStart[dst]+rt.nextLen[dst]-base] = val
-	rt.nextLen[dst]++
-	delivered = 1
-	if srcM != rt.owner[dst] {
-		cross = 1
-	}
-	return delivered, cross
 }
 
 // Unsafe aliased views between typed slices and their raw bytes. All

@@ -223,12 +223,6 @@ func (rt *runtime) finishPush() {
 // pullPhase computes one superstep as a pull sweep, replicating
 // computePhase's outputs and accounting bit for bit.
 func (rt *runtime) pullPhase() int {
-	rt.updates = 0
-	rt.maxDelta = 0
-	rt.sentTotal = 0
-	rt.activeTotal = 0
-	rt.deliveredTotal = 0
-	rt.crossTotal = 0
 	if rt.cfg.probe != nil {
 		rt.cfg.probe.pulled++
 	}
@@ -246,20 +240,9 @@ func (rt *runtime) pullPhase() int {
 func (rt *runtime) pullSumPhase() int {
 	rt.pool.ForEach(rt.plan.Count(), rt.snapFn)
 	rt.pool.ForEach(rt.plan.Count(), rt.pullFn)
-	active := 0
-	for _, ss := range rt.shards {
-		active += int(ss.active)
-		rt.sentTotal += float64(ss.sent)
-		rt.totalMsgs += float64(ss.sent)
-		rt.updates += ss.updates
-		if ss.maxDelta > rt.maxDelta {
-			rt.maxDelta = ss.maxDelta
-		}
-	}
 	rt.deliveredTotal = rt.prD
 	rt.crossTotal = rt.prC
-	rt.activeTotal = float64(active)
-	return active
+	return rt.foldShards()
 }
 
 // buildSumKernel builds the PullSum closures once. The sweep replicates
@@ -385,18 +368,12 @@ func (rt *runtime) pullMinPhase() int {
 		}
 	}
 	rt.pool.ForEach(rt.plan.Count(), rt.pullFn)
+	if swept := rt.foldShards(); !monotone {
+		active = swept
+	}
 	rt.nextFront.Clear()
 	s := rt.superstep
 	for _, ss := range rt.shards {
-		if !monotone {
-			active += int(ss.active)
-		}
-		rt.sentTotal += float64(ss.sent)
-		rt.totalMsgs += float64(ss.sent)
-		rt.updates += ss.updates
-		if ss.maxDelta > rt.maxDelta {
-			rt.maxDelta = ss.maxDelta
-		}
 		for _, u := range ss.senders {
 			rt.nextFront.Add(u, rt.sendMass(u, s))
 		}
@@ -414,14 +391,9 @@ func (rt *runtime) pullMinPhase() int {
 		recv = d.receivers
 	} else {
 		rt.pool.ForEach(rt.plan.Count(), rt.countFn)
-		for _, d := range rt.merged {
-			rt.deliveredTotal += float64(d.delivered)
-			rt.crossTotal += float64(d.cross)
-			recv += d.receivers
-		}
+		recv = rt.foldDeliveries()
 	}
 	rt.recvPrev = int(recv)
-	rt.activeTotal = float64(active)
 	return active
 }
 
@@ -484,67 +456,53 @@ func (rt *runtime) buildMinKernel() {
 	// countSeq is the sender-side delivery count: the same totals as
 	// countFn from one sequential pass over the new frontier's edges,
 	// which beats the full sharded receiver scan whenever few vertices
-	// changed. The combined count dedups (sender machine, receiver)
-	// pairs with one mask word per receiver, so it needs the machine
-	// count to fit a word; past that only the receiver-side scan runs.
-	// Both variants also tally distinct receivers — the next monotone
-	// pull superstep's active count (pullMinPhase stores it).
+	// changed. The merge pass counts one delivery per message without a
+	// combiner and one per distinct (sender machine, receiver) pair with
+	// one; the combined count dedups the pairs with one mask word per
+	// receiver, so it needs the machine count to fit a word; past that
+	// only the receiver-side scan runs. The mask also tallies distinct
+	// receivers — the next monotone pull superstep's active count
+	// (pullMinPhase stores it).
 	if rt.cfg.Combine == nil || rt.cfg.M <= 64 {
 		if rt.cfg.Combine != nil || monotone {
 			rt.countMask = make([]uint64, g.NumVertices())
 		}
 		rt.countSeq = func() delivery {
 			var d delivery
-			fr := rt.frontier
 			all := rt.allShape(rt.superstep)
 			combined := rt.cfg.Combine != nil && rt.superstep >= rt.cfg.CombineFrom
+			marking := combined || monotone
 			touched := rt.countTouched[:0]
-			if combined {
-				count := func(m int32, bit uint64, w graph.VertexID) {
-					if rt.countMask[w]&bit == 0 {
-						if rt.countMask[w] == 0 {
+			// sendsTo counts the messages a sender on machine m emits
+			// along one of its neighbor lists; bit is m's mask bit when
+			// combining, a plain seen-mark otherwise.
+			sendsTo := func(nbrs []graph.VertexID, m int32, bit uint64) {
+				for _, w := range nbrs {
+					if marking {
+						mask := rt.countMask[w]
+						if combined && mask&bit != 0 {
+							continue // folded into m's earlier message to w
+						}
+						if mask == 0 {
 							touched = append(touched, w)
 						}
-						rt.countMask[w] |= bit
-						d.delivered++
-						if m != rt.owner[w] {
-							d.cross++
-						}
+						rt.countMask[w] = mask | bit
 					}
-				}
-				for _, u := range fr.Members() {
-					m := rt.owner[u]
-					bit := uint64(1) << uint(m)
-					for _, w := range g.OutNeighbors(u) {
-						count(m, bit, w)
-					}
-					if all {
-						for _, w := range g.InNeighbors(u) {
-							count(m, bit, w)
-						}
-					}
-				}
-			} else {
-				count := func(m int32, w graph.VertexID) {
 					d.delivered++
 					if m != rt.owner[w] {
 						d.cross++
 					}
-					if monotone && rt.countMask[w] == 0 {
-						rt.countMask[w] = 1
-						touched = append(touched, w)
-					}
 				}
-				for _, u := range fr.Members() {
-					m := rt.owner[u]
-					for _, w := range g.OutNeighbors(u) {
-						count(m, w)
-					}
-					if all {
-						for _, w := range g.InNeighbors(u) {
-							count(m, w)
-						}
-					}
+			}
+			for _, u := range rt.frontier.Members() {
+				m := rt.owner[u]
+				bit := uint64(1)
+				if combined {
+					bit <<= uint(m)
+				}
+				sendsTo(g.OutNeighbors(u), m, bit)
+				if all {
+					sendsTo(g.InNeighbors(u), m, bit)
 				}
 			}
 			d.receivers = int64(len(touched))
@@ -556,75 +514,51 @@ func (rt *runtime) buildMinKernel() {
 		}
 	}
 	rt.countFn = func(i int) {
-		// Delivery accounting for the messages the new senders emit: the
-		// merge pass counts one delivery per message without a combiner,
-		// and one per distinct (sender machine, receiver) pair with one;
-		// cross-machine likewise. Receiver v hears from sender u along
-		// u's out-edges (u in in(v)) and, under the all-neighbors shape,
-		// u's in-edges (u in out(v)).
+		// Receiver-side delivery accounting for the messages the new
+		// senders emit. Receiver v hears from sender u along u's
+		// out-edges (u in in(v)) and, under the all-neighbors shape, u's
+		// in-edges (u in out(v)).
 		ss := rt.shards[i]
 		fr := rt.frontier
 		all := rt.allShape(rt.superstep)
 		combined := rt.cfg.Combine != nil && rt.superstep >= rt.cfg.CombineFrom
-		var d delivery
-		s := rt.plan.Shard(i)
 		if combined {
 			for m := range ss.pullStamp {
 				ss.pullStamp[m] = -1
 			}
-			for v := s.Lo; v < s.Hi; v++ {
-				tag := int32(v)
-				own := rt.owner[v]
-				dv := d.delivered
-				for _, u := range g.InNeighbors(graph.VertexID(v)) {
-					if fr.Contains(u) && ss.pullStamp[rt.owner[u]] != tag {
-						ss.pullStamp[rt.owner[u]] = tag
-						d.delivered++
-						if rt.owner[u] != own {
-							d.cross++
-						}
-					}
+		}
+		var d delivery
+		// hearsFrom counts the deliveries receiver v gets from the
+		// frontier members of one of its neighbor lists: one per member,
+		// or with a combiner one per sender machine not yet stamped v.
+		hearsFrom := func(nbrs []graph.VertexID, v int32) {
+			own := rt.owner[v]
+			for _, u := range nbrs {
+				if !fr.Contains(u) {
+					continue
 				}
-				if all {
-					for _, u := range g.OutNeighbors(graph.VertexID(v)) {
-						if fr.Contains(u) && ss.pullStamp[rt.owner[u]] != tag {
-							ss.pullStamp[rt.owner[u]] = tag
-							d.delivered++
-							if rt.owner[u] != own {
-								d.cross++
-							}
-						}
+				m := rt.owner[u]
+				if combined {
+					if ss.pullStamp[m] == v {
+						continue
 					}
+					ss.pullStamp[m] = v
 				}
-				if d.delivered != dv {
-					d.receivers++
+				d.delivered++
+				if m != own {
+					d.cross++
 				}
 			}
-		} else {
-			for v := s.Lo; v < s.Hi; v++ {
-				own := rt.owner[v]
-				dv := d.delivered
-				for _, u := range g.InNeighbors(graph.VertexID(v)) {
-					if fr.Contains(u) {
-						d.delivered++
-						if rt.owner[u] != own {
-							d.cross++
-						}
-					}
-				}
-				if all {
-					for _, u := range g.OutNeighbors(graph.VertexID(v)) {
-						if fr.Contains(u) {
-							d.delivered++
-							if rt.owner[u] != own {
-								d.cross++
-							}
-						}
-					}
-				}
-				if d.delivered != dv {
-					d.receivers++
-				}
+		}
+		s := rt.plan.Shard(i)
+		for v := s.Lo; v < s.Hi; v++ {
+			dv := d.delivered
+			hearsFrom(g.InNeighbors(graph.VertexID(v)), int32(v))
+			if all {
+				hearsFrom(g.OutNeighbors(graph.VertexID(v)), int32(v))
+			}
+			if d.delivered != dv {
+				d.receivers++
 			}
 		}
 		rt.merged[i] = d
@@ -675,11 +609,11 @@ func (rt *runtime) materializeInbox() {
 		val := rt.values[u] + delta
 		srcM := rt.owner[u]
 		for _, w := range g.OutNeighbors(u) {
-			rt.deposit(srcM, w, val, tag)
+			rt.deposit(rt.nextVals, 0, srcM, w, val, tag)
 		}
 		if all {
 			for _, w := range g.InNeighbors(u) {
-				rt.deposit(srcM, w, val, tag)
+				rt.deposit(rt.nextVals, 0, srcM, w, val, tag)
 			}
 		}
 	}
