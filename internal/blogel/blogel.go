@@ -55,64 +55,50 @@ func (e *VEngine) Name() string { return "blogel-v" }
 
 // Run implements engine.Engine.
 func (e *VEngine) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt engine.Options) *engine.Result {
-	res := &engine.Result{System: e.Name(), Dataset: d.Name, Workload: w, Machines: c.Size()}
-	if opt.SampleMemory {
-		c.EnableSampling()
-	}
+	res := engine.Begin(c, e.Name(), d, w, opt)
 	prof := e.Profile
-	m := c.Size()
+	var gr *graph.Graph
+	var loaded int64
 
-	mark := c.Clock()
-	if err := c.Advance(prof.StartupSeconds(m)); err != nil {
-		res.Overhead = c.Clock() - mark
-		return res.Finish(c, err)
-	}
-	res.Overhead = c.Clock() - mark
-
-	// Load the adj-long format (§4.3: Blogel needs every vertex to have
-	// a line so in-edge-only vertices exist).
-	mark = c.Clock()
-	gr, err := d.LoadGraph(graph.FormatAdjLong)
-	if err != nil {
-		return res.Finish(c, err)
-	}
-	loaded, err := chargeLoad(c, &prof, d, gr, w, graph.FormatAdjLong)
-	if err != nil {
-		res.Load = c.Clock() - mark
-		return res.Finish(c, err)
-	}
-	res.Load = c.Clock() - mark
-
+	res.Timed(c, &res.Overhead, func() error { return c.Advance(prof.StartupSeconds(c.Size())) })
+	res.Timed(c, &res.Load, func() (err error) {
+		gr, loaded, err = load(c, &prof, d, w)
+		return err
+	})
 	// Blogel touches only active vertices.
-	mark = c.Clock()
-	err = bsp.RunWorkload(c, &prof, false, gr, d, w, opt, res)
-	res.Exec = c.Clock() - mark
-	if err != nil {
-		return res.Finish(c, err)
-	}
-
-	mark = c.Clock()
-	resultBytes := int64(float64(gr.NumVertices()) * d.Scale * 16)
-	if err := c.Advance(hdfs.WriteSeconds(resultBytes, m, c.Config().DiskBW, c.Config().NetBW)); err != nil {
-		res.Save = c.Clock() - mark
-		return res.Finish(c, err)
-	}
-	res.Save = c.Clock() - mark
-	c.FreeAll(loaded)
-	return res.Finish(c, nil)
+	res.Timed(c, &res.Exec, func() error { return bsp.RunWorkload(c, &prof, false, gr, d, w, opt, res) })
+	res.Timed(c, &res.Save, func() error { return save(c, d, gr, loaded) })
+	return res.Finish(c, res.Err)
 }
 
-// chargeLoad models the chunk-parallel C++ HDFS read (§4.3), the hash
-// shuffle, and the resident graph memory. Shared by both modes.
-func chargeLoad(c *sim.Cluster, prof *sim.Profile, d *engine.Dataset, gr *graph.Graph, w engine.Workload, format graph.Format) (int64, error) {
+// save writes the results and, once they are out, releases the loaded
+// graph. Shared by both modes.
+func save(c *sim.Cluster, d *engine.Dataset, gr *graph.Graph, loaded int64) error {
+	if err := engine.SaveResults(c, d, gr.NumVertices()); err != nil {
+		return err
+	}
+	c.FreeAll(loaded)
+	return nil
+}
+
+// load decodes the adj-long format (§4.3: Blogel needs every vertex to
+// have a line so in-edge-only vertices exist) and models the
+// chunk-parallel C++ HDFS read (§4.3), the hash shuffle, and the
+// resident graph memory; it returns the graph and the per-machine bytes
+// held until save. Shared by both modes.
+func load(c *sim.Cluster, prof *sim.Profile, d *engine.Dataset, w engine.Workload) (*graph.Graph, int64, error) {
 	m := c.Size()
-	file, err := d.Open(format)
+	gr, err := d.LoadGraph(graph.FormatAdjLong)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
+	}
+	file, err := d.Open(graph.FormatAdjLong)
+	if err != nil {
+		return nil, 0, err
 	}
 	parse := prof.EdgeSeconds(float64(gr.NumEdges())*d.Scale/float64(m), c.Config().Cores)
 	if err := c.ShuffleRead(file.PaperBytes, parse); err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	// Single-chunk files serialize the read on one machine (§4.3).
 	if file.Chunks < m {
@@ -120,7 +106,7 @@ func chargeLoad(c *sim.Cluster, prof *sim.Profile, d *engine.Dataset, gr *graph.
 			float64(file.PaperBytes)/float64(m)/c.Config().DiskBW
 		if extra > 0 {
 			if err := c.Advance(extra); err != nil {
-				return 0, err
+				return nil, 0, err
 			}
 		}
 	}
@@ -135,5 +121,5 @@ func chargeLoad(c *sim.Cluster, prof *sim.Profile, d *engine.Dataset, gr *graph.
 	memBytes := float64(gr.NumVertices())*d.Scale*prof.VertexBytes*vf +
 		float64(gr.NumEdges())*d.Scale*prof.EdgeBytes*ef
 	per := int64(memBytes/float64(m)*prof.Imbalance) + prof.PerMachineBase
-	return per, c.AllocAll(per)
+	return gr, per, c.AllocAll(per)
 }

@@ -26,69 +26,40 @@ func (e *BEngine) Name() string { return "blogel-b" }
 
 // Run implements engine.Engine.
 func (e *BEngine) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt engine.Options) *engine.Result {
-	res := &engine.Result{System: e.Name(), Dataset: d.Name, Workload: w, Machines: c.Size()}
-	if opt.SampleMemory {
-		c.EnableSampling()
-	}
+	res := engine.Begin(c, e.Name(), d, w, opt)
 	prof := e.Profile
 	m := c.Size()
+	var gr *graph.Graph
+	var loaded int64
+	var vor *partition.Voronoi
 
-	mark := c.Clock()
-	if err := c.Advance(prof.StartupSeconds(m)); err != nil {
-		res.Overhead = c.Clock() - mark
-		return res.Finish(c, err)
-	}
-	res.Overhead = c.Clock() - mark
-
+	res.Timed(c, &res.Overhead, func() error { return c.Advance(prof.StartupSeconds(m)) })
 	// Load + GVD partition phase (all part of load time, §5.1).
-	mark = c.Clock()
-	gr, err := d.LoadGraph(graph.FormatAdjLong)
-	if err != nil {
-		return res.Finish(c, err)
-	}
-	loaded, err := chargeLoad(c, &prof, d, gr, w, graph.FormatAdjLong)
-	if err != nil {
-		res.Load = c.Clock() - mark
-		return res.Finish(c, err)
-	}
-
-	// GVD sampling aggregates per-vertex block assignments on the
-	// master through MPI, whose int buffer offsets overflow for
-	// billion-vertex graphs (§5.1: WRN and ClueWeb).
-	if float64(d.NumVertices)*d.Scale*4 > maxInt32 {
-		res.Load = c.Clock() - mark
-		return res.Finish(c, &sim.Failure{Status: sim.MPI,
-			Detail: "integer overflow aggregating GVD block assignments at the master"})
-	}
-	vor := partition.BuildVoronoi(gr, m, 11, partition.VoronoiOptions{})
-	if err := e.chargeVoronoi(c, d, gr, vor, opt); err != nil {
-		res.Load = c.Clock() - mark
-		return res.Finish(c, err)
-	}
-	res.Load = c.Clock() - mark
-
+	res.Timed(c, &res.Load, func() (err error) {
+		if gr, loaded, err = load(c, &prof, d, w); err != nil {
+			return err
+		}
+		// GVD sampling aggregates per-vertex block assignments on the
+		// master through MPI, whose int buffer offsets overflow for
+		// billion-vertex graphs (§5.1: WRN and ClueWeb).
+		if float64(d.NumVertices)*d.Scale*4 > maxInt32 {
+			return &sim.Failure{Status: sim.MPI,
+				Detail: "integer overflow aggregating GVD block assignments at the master"}
+		}
+		vor = partition.BuildVoronoi(gr, m, 11, partition.VoronoiOptions{})
+		return e.chargeVoronoi(c, d, gr, vor, opt)
+	})
 	// Execute block-centric computation. The persistent pool lives for
-	// exactly this run.
-	mark = c.Clock()
-	pool, release := par.Use(opt.Pool, opt.Shards)
-	defer release()
-	bx := &bExec{cluster: c, prof: &prof, d: d, g: gr, vor: vor, w: w, res: res,
-		pool: pool, sp: opt.ShardPlan}
-	execErr := bx.run()
-	res.Exec = c.Clock() - mark
-	if execErr != nil {
-		return res.Finish(c, execErr)
-	}
-
-	mark = c.Clock()
-	resultBytes := int64(float64(gr.NumVertices()) * d.Scale * 16)
-	if err := c.Advance(hdfs.WriteSeconds(resultBytes, m, c.Config().DiskBW, c.Config().NetBW)); err != nil {
-		res.Save = c.Clock() - mark
-		return res.Finish(c, err)
-	}
-	res.Save = c.Clock() - mark
-	c.FreeAll(loaded)
-	return res.Finish(c, nil)
+	// exactly this phase.
+	res.Timed(c, &res.Exec, func() error {
+		pool, release := par.Use(opt.Pool, opt.Shards)
+		defer release()
+		bx := &bExec{cluster: c, prof: &prof, d: d, g: gr, vor: vor, w: w, res: res,
+			pool: pool, sp: opt.ShardPlan}
+		return bx.run()
+	})
+	res.Timed(c, &res.Save, func() error { return save(c, d, gr, loaded) })
+	return res.Finish(c, res.Err)
 }
 
 // chargeVoronoi charges the GVD sampling rounds and — unless the

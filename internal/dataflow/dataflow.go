@@ -20,7 +20,6 @@ import (
 	"graphbench/internal/bsp"
 	"graphbench/internal/engine"
 	"graphbench/internal/graph"
-	"graphbench/internal/hdfs"
 	"graphbench/internal/sim"
 )
 
@@ -80,67 +79,50 @@ func (g *Gelly) Name() string { return "gelly" }
 
 // Run implements engine.Engine.
 func (g *Gelly) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt engine.Options) *engine.Result {
-	res := &engine.Result{System: g.Name(), Dataset: d.Name, Workload: w, Machines: c.Size()}
-	if opt.SampleMemory {
-		c.EnableSampling()
-	}
+	res := engine.Begin(c, g.Name(), d, w, opt)
 	prof := g.Profile
-	m := c.Size()
+	var gr *graph.Graph
+	var loaded int64
 
-	// Memory leaked by earlier jobs in this session is still resident.
-	if g.leakedPerMachine > 0 {
-		if err := c.AllocAll(g.leakedPerMachine); err != nil {
-			return res.Finish(c, err)
+	res.Timed(c, &res.Overhead, func() error {
+		// Memory leaked by earlier jobs in this session is still resident.
+		if g.leakedPerMachine > 0 {
+			if err := c.AllocAll(g.leakedPerMachine); err != nil {
+				return err
+			}
 		}
-	}
-	if g.runsSinceRestart >= maxRunsBeforeRestart {
-		return res.Finish(c, &sim.Failure{Status: sim.OOM,
-			Detail: "managed memory not reclaimed across jobs; Flink needs a restart"})
-	}
-	g.runsSinceRestart++
-
-	mark := c.Clock()
-	if err := c.Advance(prof.StartupSeconds(m)); err != nil {
-		res.Overhead = c.Clock() - mark
-		return res.Finish(c, err)
-	}
-	res.Overhead = c.Clock() - mark
-
+		if g.runsSinceRestart >= maxRunsBeforeRestart {
+			return &sim.Failure{Status: sim.OOM,
+				Detail: "managed memory not reclaimed across jobs; Flink needs a restart"}
+		}
+		g.runsSinceRestart++
+		return c.Advance(prof.StartupSeconds(c.Size()))
+	})
 	// Source + map operators: read the edge file, build the Gelly
 	// graph datasets.
-	mark = c.Clock()
-	gr, err := d.LoadGraph(graph.FormatEdge)
-	if err != nil {
-		return res.Finish(c, err)
-	}
-	loaded, err := g.chargeLoad(c, &prof, d, gr, w)
-	if err != nil {
-		res.Load = c.Clock() - mark
-		return res.Finish(c, err)
-	}
-	res.Load = c.Clock() - mark
-
+	res.Timed(c, &res.Load, func() (err error) {
+		if gr, err = d.LoadGraph(graph.FormatEdge); err != nil {
+			return err
+		}
+		loaded, err = g.chargeLoad(c, &prof, d, gr, w)
+		return err
+	})
 	// Bulk-iteration operator: scatter-gather BSP whose coGroup re-scans
 	// the full vertex dataset every superstep. Gelly has no combiner
 	// ablation.
-	mark = c.Clock()
-	opt.DisableCombiner = false
-	err = bsp.RunWorkload(c, &prof, true, gr, d, w, opt, res)
-	res.Exec = c.Clock() - mark
-	if err != nil {
-		return res.Finish(c, err)
-	}
-
-	// Sink operator: write results.
-	mark = c.Clock()
-	resultBytes := int64(float64(gr.NumVertices()) * d.Scale * 16)
-	saveErr := c.Advance(hdfs.WriteSeconds(resultBytes, m, c.Config().DiskBW, c.Config().NetBW))
-	res.Save = c.Clock() - mark
-
-	// The job releases its memory — minus the leak.
-	c.FreeAll(loaded)
-	g.leakedPerMachine += int64(float64(loaded) * leakFraction)
-	return res.Finish(c, saveErr)
+	res.Timed(c, &res.Exec, func() error {
+		opt.DisableCombiner = false
+		return bsp.RunWorkload(c, &prof, true, gr, d, w, opt, res)
+	})
+	// Sink operator: write results. The job then releases its memory —
+	// minus the leak — whether or not the write beat the timeout.
+	res.Timed(c, &res.Save, func() error {
+		err := engine.SaveResults(c, d, gr.NumVertices())
+		c.FreeAll(loaded)
+		g.leakedPerMachine += int64(float64(loaded) * leakFraction)
+		return err
+	})
+	return res.Finish(c, res.Err)
 }
 
 func (g *Gelly) chargeLoad(c *sim.Cluster, prof *sim.Profile, d *engine.Dataset, gr *graph.Graph, w engine.Workload) (int64, error) {

@@ -485,8 +485,44 @@ func LabelsFromValues(values []float64) []graph.VertexID {
 	return out
 }
 
-// Finish populates the resource fields of r from the cluster's final
-// state and the given error, and returns r for chaining.
+// The run frame. Every Engine.Run is Begin, a sequence of Timed phases
+// in run order, and Finish(c, r.Err). The frame holds the one invariant
+// the paper's attribution (§4.2) rests on: every modeled second lands
+// in exactly one of Load / Exec / Save / Overhead — also when the run
+// dies inside a phase — so TotalTime() equals the cluster clock.
+
+// Begin opens a run's Result and turns on the cluster's memory
+// sampling when the options ask for the Figure 10 timelines.
+func Begin(c *sim.Cluster, system string, d *Dataset, w Workload, opt Options) *Result {
+	if opt.SampleMemory {
+		c.EnableSampling()
+	}
+	return &Result{System: system, Dataset: d.Name, Workload: w, Machines: c.Size()}
+}
+
+// Timed runs one phase of a run on the modeled clock: the seconds do
+// advances the cluster by are added to *slot (one of r's Load, Exec,
+// Save, Overhead) whether or not do fails. The first failure sticks in
+// r.Err and every later Timed call is skipped, so an engine lists its
+// phases in order and checks nothing in between.
+func (r *Result) Timed(c *sim.Cluster, slot *float64, do func() error) {
+	if r.Err != nil {
+		return
+	}
+	mark := c.Clock()
+	r.Err = do()
+	*slot += c.Clock() - mark
+}
+
+// SaveResults charges the save phase five of the engines share: one
+// 16-byte result record per paper-scale vertex written to HDFS.
+func SaveResults(c *sim.Cluster, d *Dataset, vertices int) error {
+	resultBytes := int64(float64(vertices) * d.Scale * 16)
+	return c.Advance(hdfs.WriteSeconds(resultBytes, c.Size(), c.Config().DiskBW, c.Config().NetBW))
+}
+
+// Finish populates the status and resource fields of r from the given
+// error and the cluster's final state, and returns r for chaining.
 func (r *Result) Finish(c *sim.Cluster, err error) *Result {
 	r.Status = sim.StatusOf(err)
 	r.Err = err

@@ -88,10 +88,7 @@ func Variant(opt engine.Options, w engine.Workload) string {
 
 // Run implements engine.Engine.
 func (g *GraphLab) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt engine.Options) *engine.Result {
-	res := &engine.Result{System: g.Name(), Dataset: d.Name, Workload: w, Machines: c.Size()}
-	if opt.SampleMemory {
-		c.EnableSampling()
-	}
+	res := engine.Begin(c, g.Name(), d, w, opt)
 	prof := g.Profile
 	if opt.UseAllCores && !opt.Async {
 		// Figure 1: synchronous mode benefits from computing on all
@@ -101,62 +98,43 @@ func (g *GraphLab) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt
 		prof.ComputeCores = 0
 	}
 	m := c.Size()
+	var gr *graph.Graph
+	var vc *partition.VertexCut
+	var loaded int64
 
 	// MPI startup: no Hadoop/Spark infrastructure (§5.7).
-	mark := c.Clock()
-	if err := c.Advance(prof.StartupSeconds(m)); err != nil {
-		res.Overhead = c.Clock() - mark
-		return res.Finish(c, err)
-	}
-	res.Overhead = c.Clock() - mark
-
+	res.Timed(c, &res.Overhead, func() error { return c.Advance(prof.StartupSeconds(m)) })
 	// Load: parallel chunked HDFS read (C++ client: one thread per
 	// chunk, §4.3), self-edge drop, vertex-cut partitioning, mirrors.
-	mark = c.Clock()
-	gr, err := d.LoadGraph(graph.FormatAdj)
-	if err != nil {
-		return res.Finish(c, err)
-	}
-	gr = gr.WithoutSelfEdges() // §3.1.1: GraphLab cannot represent self-edges
-
-	kind := partitionKind(opt, m)
-	vc := partition.BuildVertexCut(gr, m, kind, 7)
-	res.ReplicationFactor = vc.ReplicationFactor()
-
-	loaded, err := g.chargeLoad(c, &prof, d, gr, vc, kind)
-	if err != nil {
-		res.Load = c.Clock() - mark
-		return res.Finish(c, err)
-	}
-	res.Load = c.Clock() - mark
-
-	// Execute.
-	mark = c.Clock()
-	ex := &execution{
-		cluster: c, prof: &prof, d: d, g: gr, vc: vc, w: w, opt: opt,
-		res: res,
-	}
-	var execErr error
-	if opt.Async {
-		execErr = ex.runAsync()
-	} else {
-		execErr = ex.runSync()
-	}
-	res.Exec = c.Clock() - mark
-	if execErr != nil {
-		return res.Finish(c, execErr)
-	}
-
-	// Save.
-	mark = c.Clock()
-	resultBytes := int64(float64(gr.NumVertices()) * d.Scale * 16)
-	if err := c.Advance(hdfs.WriteSeconds(resultBytes, m, c.Config().DiskBW, c.Config().NetBW)); err != nil {
-		res.Save = c.Clock() - mark
-		return res.Finish(c, err)
-	}
-	res.Save = c.Clock() - mark
-	c.FreeAll(loaded)
-	return res.Finish(c, nil)
+	res.Timed(c, &res.Load, func() (err error) {
+		if gr, err = d.LoadGraph(graph.FormatAdj); err != nil {
+			return err
+		}
+		gr = gr.WithoutSelfEdges() // §3.1.1: GraphLab cannot represent self-edges
+		kind := partitionKind(opt, m)
+		vc = partition.BuildVertexCut(gr, m, kind, 7)
+		res.ReplicationFactor = vc.ReplicationFactor()
+		loaded, err = g.chargeLoad(c, &prof, d, gr, vc, kind)
+		return err
+	})
+	res.Timed(c, &res.Exec, func() error {
+		ex := &execution{
+			cluster: c, prof: &prof, d: d, g: gr, vc: vc, w: w, opt: opt,
+			res: res,
+		}
+		if opt.Async {
+			return ex.runAsync()
+		}
+		return ex.runSync()
+	})
+	res.Timed(c, &res.Save, func() error {
+		if err := engine.SaveResults(c, d, gr.NumVertices()); err != nil {
+			return err
+		}
+		c.FreeAll(loaded)
+		return nil
+	})
+	return res.Finish(c, res.Err)
 }
 
 func partitionKind(opt engine.Options, m int) partition.VertexCutKind {

@@ -74,10 +74,7 @@ func TunedPartitions(d *engine.Dataset, machines int) int {
 
 // Run implements engine.Engine.
 func (g *GraphX) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt engine.Options) *engine.Result {
-	res := &engine.Result{System: g.Name(), Dataset: d.Name, Workload: w, Machines: c.Size()}
-	if opt.SampleMemory {
-		c.EnableSampling()
-	}
+	res := engine.Begin(c, g.Name(), d, w, opt)
 	prof := g.Profile
 	m := c.Size()
 
@@ -86,47 +83,33 @@ func (g *GraphX) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt e
 		parts = DefaultPartitions(d)
 	}
 	sc := rdd.NewContext(c, &prof, d.Scale, parts, 17)
+	var gr *graph.Graph
+	var loaded int64
 
 	// Spark standalone startup.
-	mark := c.Clock()
-	if err := c.Advance(prof.StartupSeconds(m)); err != nil {
-		res.Overhead = c.Clock() - mark
-		return res.Finish(c, err)
-	}
-	res.Overhead = c.Clock() - mark
-
+	res.Timed(c, &res.Overhead, func() error { return c.Advance(prof.StartupSeconds(m)) })
 	// Load: read the edge-format file, build vertex and edge RDDs with
 	// vertex-cut partitioning.
-	mark = c.Clock()
-	gr, err := d.LoadGraph(graph.FormatEdge)
-	if err != nil {
-		return res.Finish(c, err)
-	}
-	vc := partition.BuildVertexCut(gr, m, partition.VCRandom, 7)
-	res.ReplicationFactor = vc.ReplicationFactor()
-
-	loaded, err := g.chargeLoad(c, sc, d, gr, vc)
-	if err != nil {
-		res.Load = c.Clock() - mark
-		return res.Finish(c, err)
-	}
-	res.Load = c.Clock() - mark
-
-	// Execute the Pregel iterations.
-	mark = c.Clock()
-	execErr := g.pregelLoop(sc, d, gr, w, opt, res)
-	res.Exec = c.Clock() - mark
-	sc.ReleaseLineage()
-	if execErr != nil {
-		return res.Finish(c, execErr)
-	}
-
+	res.Timed(c, &res.Load, func() (err error) {
+		if gr, err = d.LoadGraph(graph.FormatEdge); err != nil {
+			return err
+		}
+		vc := partition.BuildVertexCut(gr, m, partition.VCRandom, 7)
+		res.ReplicationFactor = vc.ReplicationFactor()
+		loaded, err = g.chargeLoad(c, sc, d, gr, vc)
+		return err
+	})
+	// Execute the Pregel iterations; the lineage goes when they end.
+	res.Timed(c, &res.Exec, func() error {
+		defer sc.ReleaseLineage()
+		return g.pregelLoop(sc, d, gr, w, opt, res)
+	})
 	// Save: write the result RDD to HDFS.
-	mark = c.Clock()
-	saveErr := sc.Checkpoint(float64(gr.NumVertices()) * 16)
-	res.Save = c.Clock() - mark
-	c.FreeAll(loaded)
-	return res.Finish(c, saveErr)
+	res.Timed(c, &res.Save, func() error {
+		defer c.FreeAll(loaded)
+		return sc.Checkpoint(float64(gr.NumVertices()) * 16)
+	})
+	return res.Finish(c, res.Err)
 }
 
 func (g *GraphX) chargeLoad(c *sim.Cluster, sc *rdd.Context, d *engine.Dataset, gr *graph.Graph, vc *partition.VertexCut) (int64, error) {

@@ -158,39 +158,27 @@ func (jr *jobRunner) run(jc jobCost) error {
 
 // Run implements engine.Engine.
 func (h *Hadoop) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt engine.Options) *engine.Result {
-	res := &engine.Result{System: h.Name(), Dataset: d.Name, Workload: w, Machines: c.Size()}
-	if opt.SampleMemory {
-		c.EnableSampling()
-	}
+	res := engine.Begin(c, h.Name(), d, w, opt)
+	var gr *graph.Graph
 
-	// Fixed JVM footprint for the task slots; disk-based processing
-	// never grows it (§5.9's "out-of-core systems may have a role").
-	if err := c.AllocAll(h.Profile.PerMachineBase); err != nil {
-		return res.Finish(c, err)
-	}
-
-	mark := c.Clock()
-	gr, err := d.LoadGraph(graph.FormatAdj)
-	if err != nil {
-		return res.Finish(c, err)
-	}
 	// "Load" for Hadoop is only staging: the data is already in HDFS.
-	res.Load = c.Clock() - mark
-
-	mark = c.Clock()
-	jr := &jobRunner{h: h, c: c, recover: opt.Recover, costs: &res.Costs}
-	execErr := h.iterate(c, d, gr, w, res, jr)
-	res.Exec = c.Clock() - mark
-	if execErr != nil {
-		return res.Finish(c, execErr)
-	}
-
+	res.Timed(c, &res.Load, func() (err error) {
+		// Fixed JVM footprint for the task slots; disk-based processing
+		// never grows it (§5.9's "out-of-core systems may have a role").
+		if err = c.AllocAll(h.Profile.PerMachineBase); err != nil {
+			return err
+		}
+		gr, err = d.LoadGraph(graph.FormatAdj)
+		return err
+	})
+	res.Timed(c, &res.Exec, func() error {
+		jr := &jobRunner{h: h, c: c, recover: opt.Recover, costs: &res.Costs}
+		return h.iterate(c, d, gr, w, res, jr)
+	})
 	// Final results are the last job's reduce output; saving is folded
 	// into the last job's write. Teardown:
-	mark = c.Clock()
-	err = c.Advance(h.Profile.StartupSeconds(c.Size()) * 0.3)
-	res.Overhead = c.Clock() - mark
-	return res.Finish(c, err)
+	res.Timed(c, &res.Overhead, func() error { return c.Advance(h.Profile.StartupSeconds(c.Size()) * 0.3) })
+	return res.Finish(c, res.Err)
 }
 
 // iterate drives the per-workload job chains. All workloads do real

@@ -11,7 +11,6 @@ import (
 	"graphbench/internal/bsp"
 	"graphbench/internal/engine"
 	"graphbench/internal/graph"
-	"graphbench/internal/hdfs"
 	"graphbench/internal/sim"
 )
 
@@ -60,58 +59,33 @@ func memFactors(w engine.Workload) (vf, ef float64) {
 
 // Run implements engine.Engine.
 func (g *Giraph) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt engine.Options) *engine.Result {
-	res := &engine.Result{System: g.Name(), Dataset: d.Name, Workload: w, Machines: c.Size()}
-	if opt.SampleMemory {
-		c.EnableSampling()
-	}
+	res := engine.Begin(c, g.Name(), d, w, opt)
 	prof := g.Profile
 	m := c.Size()
+	var gr *graph.Graph
+	var loaded int64
 
 	// Job startup through the Hadoop resource manager.
-	mark := c.Clock()
-	if err := c.Advance(prof.StartupSeconds(m)); err != nil {
-		res.Overhead = c.Clock() - mark
-		return res.Finish(c, err)
-	}
-	res.Overhead = c.Clock() - mark
-
+	res.Timed(c, &res.Overhead, func() error { return c.Advance(prof.StartupSeconds(m)) })
 	// Load: read the adj file from HDFS, shuffle records to their hash
 	// partition, build in-memory vertex/edge structures.
-	mark = c.Clock()
-	gr, err := d.LoadGraph(graph.FormatAdj)
-	if err != nil {
-		return res.Finish(c, err)
-	}
-	loaded, err := chargeLoad(c, &prof, d, gr, w)
-	if err != nil {
-		res.Load = c.Clock() - mark
-		return res.Finish(c, err)
-	}
-	res.Load = c.Clock() - mark
-
+	res.Timed(c, &res.Load, func() (err error) {
+		if gr, err = d.LoadGraph(graph.FormatAdj); err != nil {
+			return err
+		}
+		loaded, err = chargeLoad(c, &prof, d, gr, w)
+		return err
+	})
 	// Execute. Every superstep touches all owned vertex partitions.
-	mark = c.Clock()
-	err = bsp.RunWorkload(c, &prof, true, gr, d, w, opt, res)
-	res.Exec = c.Clock() - mark
-	if err != nil {
-		return res.Finish(c, err)
-	}
-
-	// Save results to HDFS (one record per vertex).
-	mark = c.Clock()
-	resultBytes := int64(float64(gr.NumVertices()) * d.Scale * 16)
-	if err := c.Advance(hdfs.WriteSeconds(resultBytes, m, c.Config().DiskBW, c.Config().NetBW)); err != nil {
-		res.Save = c.Clock() - mark
-		return res.Finish(c, err)
-	}
-	res.Save = c.Clock() - mark
-
+	res.Timed(c, &res.Exec, func() error { return bsp.RunWorkload(c, &prof, true, gr, d, w, opt, res) })
+	res.Timed(c, &res.Save, func() error { return engine.SaveResults(c, d, gr.NumVertices()) })
 	// Teardown: releasing containers back to Hadoop.
-	mark = c.Clock()
-	err = c.Advance(prof.StartupSeconds(m) * 0.4)
-	res.Overhead += c.Clock() - mark
-	c.FreeAll(loaded)
-	return res.Finish(c, err)
+	res.Timed(c, &res.Overhead, func() error {
+		err := c.Advance(prof.StartupSeconds(m) * 0.4)
+		c.FreeAll(loaded)
+		return err
+	})
+	return res.Finish(c, res.Err)
 }
 
 // chargeLoad charges the read+shuffle+build time and the resident

@@ -49,60 +49,50 @@ func (e *Vertica) Name() string { return "vertica" }
 
 // Run implements engine.Engine.
 func (e *Vertica) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt engine.Options) *engine.Result {
-	res := &engine.Result{System: e.Name(), Dataset: d.Name, Workload: w, Machines: c.Size()}
-	if opt.SampleMemory {
-		c.EnableSampling()
-	}
+	res := engine.Begin(c, e.Name(), d, w, opt)
 	m := c.Size()
-	if err := c.AllocAll(e.Profile.PerMachineBase); err != nil {
-		return res.Finish(c, err)
-	}
+	var work *graph.Graph
 
 	// Load: COPY the edge list into the segmented, sorted edge
 	// projection. Vertica uses its own storage, not HDFS (§2.6).
-	mark := c.Clock()
-	gr, err := d.LoadGraph(graph.FormatEdge)
-	if err != nil {
-		return res.Finish(c, err)
-	}
-	edgeBytes := float64(gr.NumEdges()) * d.Scale * edgeRowBytes
-	parse := e.Profile.RecordSeconds(float64(gr.NumEdges())*d.Scale/float64(m), c.Config().Cores)
-	if err := c.UniformStep(sim.StepCost{
-		ComputeSeconds: parse * 2, // parse + sort for the projection
-		DiskWriteBytes: edgeBytes / float64(m) * 2,
-		NetSendBytes:   edgeBytes / float64(m),
-		NetRecvBytes:   edgeBytes / float64(m),
-	}); err != nil {
-		return res.Finish(c, err)
-	}
-	res.Load = c.Clock() - mark
-
-	// Build the edge table (real columns).
-	work := gr
-	if w.Kind == engine.WCC {
-		work = gr.Undirected()
-	}
-	src := make(Column, 0, work.NumEdges())
-	dst := make(Column, 0, work.NumEdges())
-	work.Edges(func(s, t graph.VertexID) bool {
-		src = append(src, float64(s))
-		dst = append(dst, float64(t))
-		return true
+	res.Timed(c, &res.Load, func() error {
+		if err := c.AllocAll(e.Profile.PerMachineBase); err != nil {
+			return err
+		}
+		gr, err := d.LoadGraph(graph.FormatEdge)
+		if err != nil {
+			return err
+		}
+		work = gr
+		edgeBytes := float64(gr.NumEdges()) * d.Scale * edgeRowBytes
+		parse := e.Profile.RecordSeconds(float64(gr.NumEdges())*d.Scale/float64(m), c.Config().Cores)
+		return c.UniformStep(sim.StepCost{
+			ComputeSeconds: parse * 2, // parse + sort for the projection
+			DiskWriteBytes: edgeBytes / float64(m) * 2,
+			NetSendBytes:   edgeBytes / float64(m),
+			NetRecvBytes:   edgeBytes / float64(m),
+		})
 	})
-
-	mark = c.Clock()
-	execErr := e.iterate(c, d, work, src, dst, w, res)
-	res.Exec = c.Clock() - mark
-	if execErr != nil {
-		return res.Finish(c, execErr)
-	}
-
+	res.Timed(c, &res.Exec, func() error {
+		// Build the edge table (real columns).
+		if w.Kind == engine.WCC {
+			work = work.Undirected()
+		}
+		src := make(Column, 0, work.NumEdges())
+		dst := make(Column, 0, work.NumEdges())
+		work.Edges(func(s, t graph.VertexID) bool {
+			src = append(src, float64(s))
+			dst = append(dst, float64(t))
+			return true
+		})
+		return e.iterate(c, d, work, src, dst, w, res)
+	})
 	// Save: the final vertex table is already a table; export it.
-	mark = c.Clock()
-	outBytes := float64(work.NumVertices()) * d.Scale * vertexRowBytes
-	saveErr := c.UniformStep(sim.StepCost{DiskWriteBytes: outBytes / float64(m)})
-	res.Save = c.Clock() - mark
-	return res.Finish(c, saveErr)
+	res.Timed(c, &res.Save, func() error {
+		outBytes := float64(work.NumVertices()) * d.Scale * vertexRowBytes
+		return c.UniformStep(sim.StepCost{DiskWriteBytes: outBytes / float64(m)})
+	})
+	return res.Finish(c, res.Err)
 }
 
 // chargeIteration charges one SQL iteration: the edge projection scan,
