@@ -156,6 +156,71 @@ func TestTimeoutInjection(t *testing.T) {
 	}
 }
 
+// TestTimeoutAttribution holds the run frame's invariant on failed runs:
+// whichever phase a run dies in, every modeled second it spent is in
+// one of Load / Exec / Save / Overhead, so TotalTime() is the cluster
+// clock. Each engine is cut by a timeout landing inside each of its
+// phases; the cut points come from an unbounded run plus a probe run
+// that dies in the first phase that takes time (startup, for the
+// engines that have one).
+func TestTimeoutAttribution(t *testing.T) {
+	f := Prepare(t, datasets.Twitter, 600_000)
+	run := func(mk func() engine.Engine, timeout float64) (*engine.Result, *sim.Cluster) {
+		cfg := sim.NewConfig(16)
+		if timeout > 0 {
+			cfg.Timeout = timeout
+		}
+		c := sim.New(cfg)
+		return mk().Run(c, f.Dataset, engine.NewPageRank(), engine.Options{}), c
+	}
+	// diedIn names the last phase a failed run spent time in.
+	diedIn := func(r *engine.Result) string {
+		switch {
+		case r.Save > 0:
+			return "save"
+		case r.Exec > 0:
+			return "exec"
+		case r.Load > 0:
+			return "load"
+		}
+		return "startup"
+	}
+	for _, mk := range engineMakers() {
+		name := mk().Name()
+		full, _ := run(mk, 0)
+		if full.Status != sim.OK {
+			t.Fatalf("%s: unbounded run: %v (%v)", name, full.Status, full.Err)
+		}
+		probe, _ := run(mk, 1e-9)
+		startup := 0.0
+		if diedIn(probe) == "startup" {
+			startup = probe.Overhead
+		}
+		lo := 0.0
+		for _, ph := range []struct {
+			name    string
+			seconds float64
+		}{{"startup", startup}, {"load", full.Load}, {"exec", full.Exec}, {"save", full.Save}} {
+			if ph.seconds == 0 {
+				continue // the engine has no such phase (Hadoop saves inside its last job)
+			}
+			res, c := run(mk, lo+ph.seconds/2)
+			lo += ph.seconds
+			if res.Status != sim.TO {
+				t.Errorf("%s cut in %s: status %v, want TO", name, ph.name, res.Status)
+				continue
+			}
+			if got := diedIn(res); got != ph.name {
+				t.Errorf("%s cut in %s: run died in %s", name, ph.name, got)
+			}
+			// Equal up to the rounding of summing four clock differences.
+			if math.Abs(res.TotalTime()-c.Clock()) > 1e-9*c.Clock() {
+				t.Errorf("%s cut in %s: TotalTime() = %v, cluster clock %v", name, ph.name, res.TotalTime(), c.Clock())
+			}
+		}
+	}
+}
+
 // TestMemoryStarvationInjection: with one-byte machines every in-memory
 // engine OOMs cleanly; the disk-based ones (Hadoop, HaLoop, Vertica)
 // still fail because even their fixed buffers exceed the budget.
