@@ -214,6 +214,18 @@ func (p *Planner) Observe(d *Decision, r metrics.Resource) {
 	p.mu.Unlock()
 }
 
+// Decisions returns the one-line summary of every pinned decision, keyed
+// by request cell (Request.Key()) — the view /metrics serves.
+func (p *Planner) Decisions() map[string]string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make(map[string]string, len(p.decided))
+	for k, d := range p.decided {
+		out[k] = d.Summary()
+	}
+	return out
+}
+
 // Observed reports how many distinct configurations have realized
 // telemetry in the store.
 func (p *Planner) Observed() int {

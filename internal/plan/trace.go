@@ -42,9 +42,6 @@ type Decision struct {
 	RealizedScore float64           `json:"realized_score,omitempty"`
 }
 
-// Key identifies the decision's request cell.
-func (d *Decision) Key() string { return d.Request.Key() }
-
 // Summary is the one-line form of the decision, used in response
 // headers and run logs:
 //

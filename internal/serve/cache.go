@@ -13,9 +13,13 @@ import (
 // runKey identifies one cacheable run. It covers every input that
 // determines the modeled result: the runner pins scale and seed, so
 // (dataset, workload, system, machines, shards) is the rest of the key.
-// Shards is part of the key defensively — results are bit-identical at
-// any shard count, but a key that under-identifies its value is how
-// caches rot.
+// Shards is the width of the admission slots' pools (Config.Shards) —
+// the shard count every run actually executes on, planned or pinned: a
+// run borrows its slot's pool, which supersedes any requested count. So
+// system=auto and a pinned request for the system the planner chose
+// share one entry. It is in the key defensively — results are
+// bit-identical at any shard count, but a key that under-identifies its
+// value is how caches rot.
 type runKey struct {
 	dataset  datasets.Name
 	kind     engine.Kind

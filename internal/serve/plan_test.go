@@ -79,3 +79,36 @@ func TestServerAutoPlan(t *testing.T) {
 	}
 	_ = s
 }
+
+// TestPlannedRunSharesPinnedCacheEntry: a planned run executes on its
+// admission slot's pool exactly like a pinned run of the same system,
+// so system=auto and a pinned request for the system the planner chose
+// are one cache entry — the second is a hit with the identical body,
+// not a second computation of the same bits.
+func TestPlannedRunSharesPinnedCacheEntry(t *testing.T) {
+	// Slot pools three wide: the planner suggests one shard for a fixture
+	// this small, so a key built from its suggestion would differ.
+	_, ts := newTestServer(t, Config{MaxInFlight: 2, MaxQueue: 4, Shards: 3})
+
+	const path = "/v1/wcc?vertex=3"
+	code, hdr, body := get(t, ts.URL+path)
+	if code != http.StatusOK {
+		t.Fatalf("auto status %d: %s", code, body)
+	}
+	_, rest, ok := strings.Cut(hdr.Get("X-Graphserve-Plan"), "system=")
+	if !ok {
+		t.Fatalf("plan header %q names no system", hdr.Get("X-Graphserve-Plan"))
+	}
+	chosen, _, _ := strings.Cut(rest, " ")
+
+	code, pinnedHdr, pinnedBody := get(t, ts.URL+path+"&system="+chosen)
+	if code != http.StatusOK {
+		t.Fatalf("pinned %s status %d: %s", chosen, code, pinnedBody)
+	}
+	if got := pinnedHdr.Get("X-Graphserve-Cache"); got != "hit" {
+		t.Fatalf("pinned %s after auto: cache %q, want hit", chosen, got)
+	}
+	if string(pinnedBody) != string(body) {
+		t.Fatalf("pinned body differs from planned body:\n%s\n%s", pinnedBody, body)
+	}
+}

@@ -175,11 +175,9 @@ type Server struct {
 	retriesExhausted atomic.Uint64 // requests failed after all retries
 	panics           atomic.Uint64 // handler panics converted to 500s
 
-	// Adaptive-planner state: decision count and the latest decision
-	// summary per request cell, surfaced on /metrics.
-	planTotal     atomic.Uint64
-	planMu        sync.Mutex
-	planDecisions map[string]string
+	// planTotal counts adaptive-planner decisions served; the decisions
+	// themselves live in the planner, which /metrics asks.
+	planTotal atomic.Uint64
 
 	closeOnce sync.Once
 }
@@ -211,8 +209,6 @@ func New(cfg Config) (*Server, error) {
 		breakers: newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		byCode:   make(map[int]uint64),
 		latency:  metrics.NewHistogram(),
-
-		planDecisions: make(map[string]string),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -402,16 +398,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		body.Governor = &st
 	}
 	if total := s.planTotal.Load(); total > 0 {
-		s.planMu.Lock()
-		decisions := make(map[string]string, len(s.planDecisions))
-		for k, v := range s.planDecisions {
-			decisions[k] = v
-		}
-		s.planMu.Unlock()
 		body.Planner = &plannerBody{
 			DecisionsTotal: total,
 			Observed:       s.runner.Planner().Observed(),
-			Decisions:      decisions,
+			Decisions:      s.runner.Planner().Decisions(),
 		}
 	}
 	writeJSON(w, http.StatusOK, body)
@@ -478,9 +468,6 @@ func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, kind engine.
 			return q, false
 		}
 		s.planTotal.Add(1)
-		s.planMu.Lock()
-		s.planDecisions[dec.Key()] = dec.Summary()
-		s.planMu.Unlock()
 	} else {
 		var err error
 		sys, err = core.SystemByKey(sysKey)
@@ -503,17 +490,9 @@ func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, kind engine.
 		return q, false
 	}
 
-	shards := s.cfg.Shards
-	if dec != nil {
-		// The decision's shard count keys the cache: a planned run and
-		// a pinned run of the same system produce bit-identical results
-		// (the shard-merge contract), but distinct keys keep the
-		// provenance header truthful.
-		shards = dec.Shards
-	}
 	q = query{
 		key: runKey{dataset: name, kind: kind, system: sys.Key,
-			machines: machines, shards: shards},
+			machines: machines, shards: s.cfg.Shards},
 		sys:  sys,
 		d:    d,
 		plan: dec,
