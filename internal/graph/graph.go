@@ -282,15 +282,6 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
-// FromEdges builds a graph directly from an edge list.
-func FromEdges(n int, edges []Edge) *Graph {
-	b := NewBuilder(n)
-	for _, e := range edges {
-		b.AddEdge(e.Src, e.Dst)
-	}
-	return b.Build()
-}
-
 // Undirected returns a new graph in which every edge (u,v) also appears
 // as (v,u). Duplicate edges are removed. WCC and diameter estimation use
 // the undirected view.

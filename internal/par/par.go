@@ -95,8 +95,7 @@ func New(workers int) *Pool {
 }
 
 // Workers returns the pool's shard granularity (the worker count it was
-// constructed with), the number MapShards and ForEachShard split work
-// into.
+// constructed with), the number of shards engines cut their plans into.
 func (p *Pool) Workers() int { return p.k }
 
 // Parallelism returns how many goroutines actually execute a dispatch:
@@ -349,9 +348,6 @@ func PlanPrefix(prefix []int64, k int) Plan {
 // Count returns the number of shards.
 func (pl Plan) Count() int { return pl.k }
 
-// Weighted reports whether the plan was built from weights.
-func (pl Plan) Weighted() bool { return pl.bounds != nil }
-
 // Shard returns the i-th shard.
 func (pl Plan) Shard(i int) Shard {
 	if pl.bounds != nil {
@@ -407,13 +403,6 @@ func (pl Plan) FillShardOf(out []int32) []int32 {
 	return out
 }
 
-// ForEachShard splits [0, n) into one shard per pool worker and runs
-// fn on each shard concurrently.
-func (p *Pool) ForEachShard(n int, fn func(s Shard)) {
-	pl := PlanShards(n, p.k)
-	p.ForEach(pl.Count(), func(i int) { fn(pl.Shard(i)) })
-}
-
 // Map runs fn(i) for every i in [0, n) on the pool and returns the
 // results in index order.
 func Map[T any](p *Pool, n int, fn func(i int) T) []T {
@@ -422,19 +411,11 @@ func Map[T any](p *Pool, n int, fn func(i int) T) []T {
 	return out
 }
 
-// MapShards splits [0, n) into one shard per pool worker, runs fn on
-// each shard concurrently, and returns the per-shard results in shard
-// order — the deterministic-merge building block: callers fold the
-// returned slice left to right, which reproduces the sequential
-// accumulation order regardless of worker count.
-func MapShards[T any](p *Pool, n int, fn func(s Shard) T) []T {
-	pl := PlanShards(n, p.k)
-	return MapPlan(p, pl, fn)
-}
-
-// MapPlan is MapShards over an explicit Plan, for callers that need the
-// same plan for sharding and for routing (e.g. bsp's per-destination
-// message buckets) or a weight-balanced plan.
+// MapPlan runs fn on each shard of pl concurrently and returns the
+// per-shard results in shard order — the deterministic-merge building
+// block: callers fold the returned slice left to right, which
+// reproduces the sequential accumulation order regardless of worker
+// count.
 func MapPlan[T any](p *Pool, pl Plan, fn func(s Shard) T) []T {
 	out := make([]T, pl.Count())
 	p.ForEach(pl.Count(), func(i int) { out[i] = fn(pl.Shard(i)) })

@@ -106,7 +106,7 @@ func TestMergeOrderDeterminism(t *testing.T) {
 		want[i] = i * 31
 	}
 	for _, w := range workerCounts {
-		chunks := MapShards(New(w), n, func(s Shard) []int {
+		chunks := MapPlan(New(w), PlanShards(n, w), func(s Shard) []int {
 			out := make([]int, 0, s.Len())
 			for v := s.Lo; v < s.Hi; v++ {
 				out = append(out, want[v])
@@ -368,12 +368,12 @@ func TestFillShardOf(t *testing.T) {
 		n := 1 + rng.Intn(500)
 		k := workerCounts[rng.Intn(len(workerCounts))]
 		weights, _, _ := planWeights(rng, n)
-		for _, pl := range []Plan{PlanShards(n, k), PlanWeighted(k, weights)} {
+		for i, pl := range []Plan{PlanShards(n, k), PlanWeighted(k, weights)} {
 			out := pl.FillShardOf(make([]int32, n))
 			for v := 0; v < n; v++ {
 				if int(out[v]) != pl.ShardOf(v) {
 					t.Fatalf("n=%d k=%d weighted=%v: FillShardOf[%d] = %d, ShardOf = %d",
-						n, k, pl.Weighted(), v, out[v], pl.ShardOf(v))
+						n, k, i == 1, v, out[v], pl.ShardOf(v))
 				}
 			}
 		}

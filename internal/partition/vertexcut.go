@@ -339,17 +339,6 @@ func pdsConstraints(m, p int) [][]int {
 // iteration order.
 func (vc *VertexCut) MachineOfEdge(idx int) int { return int(vc.edgeMachine[idx]) }
 
-// Replicas returns the machines holding replicas of v.
-func (vc *VertexCut) Replicas(v graph.VertexID) []int {
-	var out []int
-	for i := 0; i < vc.M; i++ {
-		if vc.replicas[v].has(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // NumReplicas returns how many machines hold v.
 func (vc *VertexCut) NumReplicas(v graph.VertexID) int { return vc.replicas[v].count() }
 

@@ -219,13 +219,6 @@ func (c *Cluster) FreeAll(bytes int64) {
 	}
 }
 
-// ResetMemory zeroes current usage on all machines (peak is kept).
-func (c *Cluster) ResetMemory() {
-	for _, m := range c.machines {
-		m.memUsed = 0
-	}
-}
-
 // TotalMemPeak sums peak memory across machines (Table 8).
 func (c *Cluster) TotalMemPeak() int64 {
 	var t int64
