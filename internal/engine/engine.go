@@ -208,7 +208,7 @@ type Options struct {
 
 	// Direction selects the traversal direction policy for runtimes
 	// that support direction-optimized sweeps (the BSP message plane's
-	// pull kernels, the GAS PageRank reactivation scan). The default,
+	// pull kernels; no other engine reads it). The default,
 	// DirectionAuto, switches per iteration on frontier density; the
 	// forced modes exist for ablation and equivalence testing. Every
 	// policy produces bit-identical outputs and modeled costs — the

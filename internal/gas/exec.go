@@ -219,36 +219,17 @@ func (ex *execution) syncPageRank() error {
 			return err
 		}
 		if approx {
-			// Deactivate converged vertices; reactivate targets of
-			// changed ranks. The reactivation set is a pure boolean OR, so
-			// it can be built in either direction: scattering along the
-			// changed vertices' out-edges touches Σ outdeg(changed) edges,
-			// gathering along every vertex's in-edges (with an early break
-			// on the first changed in-neighbor) touches at most |E| but
-			// usually far fewer when most vertices changed. Flip on the
-			// same edge-mass threshold the traversal frontiers use; both
-			// directions produce the identical active set.
+			// Deactivate converged vertices; reactivate the out-neighbors
+			// of changed ranks.
 			for v := 0; v < n; v++ {
 				ex.active[v] = false
 			}
 			anyActive := false
-			if scatterEdges > float64(ex.g.NumEdges())/graph.FrontierAlpha {
-				for w := 0; w < n; w++ {
-					for _, u := range ex.g.InNeighbors(graph.VertexID(w)) {
-						if changed[u] {
-							ex.active[w] = true
-							anyActive = true
-							break
-						}
-					}
-				}
-			} else {
-				for v := 0; v < n; v++ {
-					if changed[v] {
-						for _, w := range ex.g.OutNeighbors(graph.VertexID(v)) {
-							ex.active[w] = true
-							anyActive = true
-						}
+			for v := 0; v < n; v++ {
+				if changed[v] {
+					for _, w := range ex.g.OutNeighbors(graph.VertexID(v)) {
+						ex.active[w] = true
+						anyActive = true
 					}
 				}
 			}
