@@ -30,9 +30,9 @@ package bsp
 // the concatenation shardState.segment serves to the one merge body,
 // with zero chunks in core — so the deposit pass, the combiner state,
 // outputs, IterStats, and every modeled cost are bit-identical to
-// in-core execution at every shard count. Modeled
-// costs never see the host strategy at all: out-of-core is a host-side
-// execution detail, like shard count or traversal direction.
+// in-core execution at every shard count. Modeled costs never see the
+// host strategy at all: out-of-core is a host-side execution detail,
+// like shard count or traversal direction.
 //
 // Checkpoints copy the current inbox segment files next to the resident
 // state; a rollback deletes both live inbox file sets (invalidating any

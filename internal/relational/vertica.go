@@ -55,17 +55,15 @@ func (e *Vertica) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt 
 
 	// Load: COPY the edge list into the segmented, sorted edge
 	// projection. Vertica uses its own storage, not HDFS (§2.6).
-	res.Timed(c, &res.Load, func() error {
-		if err := c.AllocAll(e.Profile.PerMachineBase); err != nil {
+	res.Timed(c, &res.Load, func() (err error) {
+		if err = c.AllocAll(e.Profile.PerMachineBase); err != nil {
 			return err
 		}
-		gr, err := d.LoadGraph(graph.FormatEdge)
-		if err != nil {
+		if work, err = d.LoadGraph(graph.FormatEdge); err != nil {
 			return err
 		}
-		work = gr
-		edgeBytes := float64(gr.NumEdges()) * d.Scale * edgeRowBytes
-		parse := e.Profile.RecordSeconds(float64(gr.NumEdges())*d.Scale/float64(m), c.Config().Cores)
+		edgeBytes := float64(work.NumEdges()) * d.Scale * edgeRowBytes
+		parse := e.Profile.RecordSeconds(float64(work.NumEdges())*d.Scale/float64(m), c.Config().Cores)
 		return c.UniformStep(sim.StepCost{
 			ComputeSeconds: parse * 2, // parse + sort for the projection
 			DiskWriteBytes: edgeBytes / float64(m) * 2,
