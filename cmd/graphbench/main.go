@@ -41,6 +41,7 @@ import (
 	"graphbench/internal/govern"
 	"graphbench/internal/harness"
 	"graphbench/internal/metrics"
+	"graphbench/internal/plan"
 	"graphbench/internal/sim"
 )
 
@@ -213,6 +214,9 @@ func runAuto(r *core.Runner, dataset, workload string, machines int, logPath str
 		os.Exit(2)
 	}
 	fmt.Print(dec.Trace())
+	rsc := metrics.ResourceOf(res)
+	fmt.Printf("  realized: status=%s time=%.1fs mem=%s net=%s score=%.1f\n",
+		rsc.Status, rsc.TimeSec, metrics.FmtBytes(rsc.MemTotalBytes), metrics.FmtBytes(rsc.NetBytes), plan.ResourceScore(rsc))
 	fmt.Printf("%s %s on %s, %d machines: %s\n", res.System, workload, dataset, machines, res.Status)
 	if res.Status == sim.OK {
 		fmt.Printf("  load %s  execute %s  save %s  overhead %s  total %s\n",

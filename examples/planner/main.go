@@ -2,8 +2,8 @@
 // For a few (dataset, workload) cells it asks the planner to pick the
 // system and run configuration at a 16-machine budget, executes the
 // decision, and prints the full audit trace — profile, every scored
-// candidate, the chosen configuration, and the realized cost beside
-// the prediction once the run has fed its telemetry back.
+// candidate, the chosen configuration — followed by what the run
+// realized.
 package main
 
 import (
@@ -45,9 +45,4 @@ func main() {
 			fmt.Printf("ran %s: %s\n", res.System, res.Status)
 		}
 	}
-
-	// Decisions are sticky: repeating a cell returns the pinned
-	// decision, so caches keyed on it stay stable.
-	again := r.Planner()
-	fmt.Printf("\nplanner state: %d configurations observed\n", again.Observed())
 }

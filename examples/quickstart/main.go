@@ -27,7 +27,8 @@ func main() {
 	fmt.Printf("twitter analogue: %d vertices, %d edges, max degree %d\n",
 		st.Vertices, st.Edges, st.MaxOutDegree)
 
-	// 2. Stage it in simulated HDFS in all three file formats.
+	// 2. Register its three file formats in simulated HDFS; the engines
+	// compute on g itself.
 	fs := hdfs.New()
 	src := datasets.SourceVertex(g, 42)
 	d, err := engine.Prepare(fs, g, "data/twitter", 64, src)

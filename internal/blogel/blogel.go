@@ -81,17 +81,14 @@ func save(c *sim.Cluster, d *engine.Dataset, gr *graph.Graph, loaded int64) erro
 	return nil
 }
 
-// load decodes the adj-long format (§4.3: Blogel needs every vertex to
-// have a line so in-edge-only vertices exist) and models the
-// chunk-parallel C++ HDFS read (§4.3), the hash shuffle, and the
-// resident graph memory; it returns the graph and the per-machine bytes
-// held until save. Shared by both modes.
+// load models reading the adj-long file (§4.3: Blogel needs every vertex
+// to have a line so in-edge-only vertices exist): the chunk-parallel
+// C++ HDFS read (§4.3), the hash shuffle, and the resident graph
+// memory; it returns the graph and the per-machine bytes held until
+// save. Shared by both modes.
 func load(c *sim.Cluster, prof *sim.Profile, d *engine.Dataset, w engine.Workload) (*graph.Graph, int64, error) {
 	m := c.Size()
-	gr, err := d.LoadGraph(graph.FormatAdjLong)
-	if err != nil {
-		return nil, 0, err
-	}
+	gr := d.Graph
 	file, err := d.Open(graph.FormatAdjLong)
 	if err != nil {
 		return nil, 0, err

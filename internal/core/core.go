@@ -23,7 +23,6 @@ import (
 	"graphbench/internal/haloop"
 	"graphbench/internal/hdfs"
 	"graphbench/internal/mapreduce"
-	"graphbench/internal/metrics"
 	"graphbench/internal/par"
 	"graphbench/internal/plan"
 	"graphbench/internal/pregel"
@@ -158,10 +157,8 @@ type Runner struct {
 	// before the first run.
 	MemoryBudget int64
 
-	mu       sync.Mutex
-	fixtures map[datasets.Name]*engine.Dataset
-	graphs   map[datasets.Name]*graph.Graph // retained snapshots, for profiling
-	profiles map[datasets.Name]*plan.Profile
+	mu       sync.Mutex // guards the fields below, never held across generation or profiling
+	fixtures map[datasets.Name]*fixture
 	planner  *plan.Planner
 	pool     *par.Pool
 	governor *govern.Governor
@@ -189,7 +186,7 @@ func NewRunner(scale float64, seed int64) *Runner {
 		Seed:         seed,
 		SnapshotDir:  os.Getenv("GRAPHBENCH_SNAPSHOT_DIR"),
 		MemoryBudget: budget,
-		fixtures:     make(map[datasets.Name]*engine.Dataset),
+		fixtures:     make(map[datasets.Name]*fixture),
 	}
 }
 
@@ -215,6 +212,35 @@ func (r *Runner) governorLocked() *govern.Governor {
 	return r.governor
 }
 
+// fixture is the once-entry of one dataset name: its dataset is
+// prepared, and its planner profile built, once each and outside the
+// runner's mutex, so a cold name stalls only the callers that asked for
+// it.
+type fixture struct {
+	prepare sync.Once
+	d       *engine.Dataset
+	err     error
+
+	profile sync.Once
+	p       *plan.Profile
+}
+
+// prepared returns name's entry with its dataset prepared.
+func (r *Runner) prepared(name datasets.Name) (*fixture, error) {
+	r.mu.Lock()
+	f, ok := r.fixtures[name]
+	if !ok && datasets.Known(name) {
+		f = &fixture{}
+		r.fixtures[name] = f
+	}
+	r.mu.Unlock()
+	if f == nil {
+		return nil, fmt.Errorf("core: unknown dataset %q", name)
+	}
+	f.prepare.Do(func() { f.d, f.err = r.prepare(name) })
+	return f, f.err
+}
+
 // TryDataset returns the prepared fixture for name, generating it on
 // first use — or loading its cached snapshot when SnapshotDir is set.
 // An unknown dataset name or a fixture-preparation failure is returned
@@ -222,46 +248,41 @@ func (r *Runner) governorLocked() *govern.Governor {
 // instead of killing the process. CLI entry points that want the old
 // die-on-bad-fixture behaviour use the Dataset shim.
 func (r *Runner) TryDataset(name datasets.Name) (*engine.Dataset, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if d, ok := r.fixtures[name]; ok {
-		return d, nil
+	f, err := r.prepared(name)
+	if err != nil {
+		return nil, err
 	}
-	if !datasets.Known(name) {
-		return nil, fmt.Errorf("core: unknown dataset %q", name)
-	}
+	return f.d, nil
+}
+
+// prepare generates name's graph — or loads its cached snapshot — and
+// wraps it as a Dataset. Called once per name, without r.mu held.
+func (r *Runner) prepare(name datasets.Name) (*engine.Dataset, error) {
 	opt := datasets.Options{Scale: r.Scale, Seed: r.Seed}
 	var g *graph.Graph
 	if r.SnapshotDir != "" {
 		cache := datasets.NewCache(r.SnapshotDir)
 		// Soft pressure: load the snapshot arena demand-paged instead
 		// of prefaulted, so cold fixture regions never turn resident.
-		if gov := r.governorLocked(); gov.Pressure() >= govern.PressureSoft {
+		if r.Governor().Pressure() >= govern.PressureSoft {
 			cache.Lazy = true
 		}
 		g = cache.Generate(name, opt)
 	} else {
 		g = datasets.Generate(name, opt)
 	}
-	fs := hdfs.New()
 	src := datasets.SourceVertex(g, 42)
-	d, err := engine.Prepare(fs, g, "data/"+string(name), 64, src)
+	d, err := engine.Prepare(hdfs.New(), g, "data/"+string(name), 64, src)
 	if err != nil {
 		return nil, fmt.Errorf("core: preparing %s: %w", name, err)
 	}
 	d.DilationSSSP = datasets.TraversalDilation(name, g, src)
 	d.DilationWCC = datasets.WCCDilation(name, g)
-	r.fixtures[name] = d
-	if r.graphs == nil {
-		r.graphs = make(map[datasets.Name]*graph.Graph)
-	}
-	r.graphs[name] = g
 	return d, nil
 }
 
 // Planner returns the runner's shared adaptive planner, created on
-// first use. All planned runs feed their realized telemetry back into
-// it (see plan.Planner.Observe).
+// first use.
 func (r *Runner) Planner() *plan.Planner {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -272,24 +293,15 @@ func (r *Runner) Planner() *plan.Planner {
 }
 
 // TryProfile returns the planner profile of a dataset, built on first
-// use from the retained graph snapshot and cached — profiles cost a
-// few linear passes, decisions against them are table lookups.
+// use from the prepared graph and cached — profiles cost a few linear
+// passes, decisions against them are table lookups.
 func (r *Runner) TryProfile(name datasets.Name) (*plan.Profile, error) {
-	d, err := r.TryDataset(name)
+	f, err := r.prepared(name)
 	if err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if p, ok := r.profiles[name]; ok {
-		return p, nil
-	}
-	p := plan.NewProfile(d, r.graphs[name])
-	if r.profiles == nil {
-		r.profiles = make(map[datasets.Name]*plan.Profile)
-	}
-	r.profiles[name] = p
-	return p, nil
+	f.profile.Do(func() { f.p = plan.NewProfile(f.d, f.d.Graph) })
+	return f.p, nil
 }
 
 // TryDecide asks the planner for the configuration of one request
@@ -417,16 +429,14 @@ type FaultOpts struct {
 	CheckpointEvery int
 
 	// Plan, when non-nil, applies the planner decision's configuration
-	// to the run (shards, shard plan, direction, memory tier) and feeds
-	// the realized telemetry back into the planner afterwards. The
+	// to the run (shards, shard plan, direction, memory tier). The
 	// system is still chosen by the caller — TryRunPlanned resolves the
 	// decision's system key and sets this field.
 	Plan *plan.Decision
 }
 
 // TryRunPlanned executes a planner decision: the decision's system,
-// cluster size, and configuration knobs, with realized telemetry
-// observed back into the planner.
+// cluster size, and configuration knobs.
 func (r *Runner) TryRunPlanned(pool *par.Pool, f FaultOpts, d *plan.Decision, name datasets.Name, kind engine.Kind) (*engine.Result, error) {
 	s, err := SystemByKey(d.System)
 	if err != nil {
@@ -437,8 +447,8 @@ func (r *Runner) TryRunPlanned(pool *par.Pool, f FaultOpts, d *plan.Decision, na
 }
 
 // TryRunAuto is the planner-driven run path: decide, then execute the
-// decision. The decision (with realized cost) is returned alongside
-// the result so callers can expose the trace.
+// decision. The decision is returned alongside the result so callers
+// can expose the trace.
 func (r *Runner) TryRunAuto(pool *par.Pool, f FaultOpts, name datasets.Name, kind engine.Kind, machines int) (*engine.Result, *plan.Decision, error) {
 	d, err := r.TryDecide(name, kind, machines)
 	if err != nil {
@@ -517,9 +527,6 @@ func (r *Runner) tryRun(s System, name datasets.Name, kind engine.Kind, machines
 	}
 	res := s.New().Run(c, d, w, opt)
 	res.System = s.Label
-	if f.Plan != nil {
-		r.Planner().Observe(f.Plan, metrics.ResourceOf(res))
-	}
 	return res, nil
 }
 

@@ -230,3 +230,49 @@ func TestSortedKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestColdFixtureDoesNotStallWarmOnes: preparing a dataset nobody has
+// asked for yet (a serve query outside Config.Datasets "pays the
+// generation cost on that request") must not make other callers pay it:
+// lookups of an already prepared fixture, Governor and Planner — every
+// /v1 request and every /metrics scrape makes them — return while the
+// cold preparation is still outstanding.
+func TestColdFixtureDoesNotStallWarmOnes(t *testing.T) {
+	r := NewRunner(datasets.ScaleUpScale, 1)
+	defer r.Close()
+	warm := r.Dataset(datasets.Twitter)
+
+	probed := make(chan struct{})
+	inTime := make(chan bool, 1) // one send, by the cold caller
+	go func() {
+		_, err := r.TryDataset(datasets.ClueWeb) // ≳1 s at this scale
+		if err != nil {
+			t.Error(err)
+		}
+		select {
+		case <-probed:
+			inTime <- true
+		default:
+			inTime <- false
+		}
+	}()
+
+	// Wait until the cold preparation has begun: its entry is registered
+	// before generation starts.
+	for registered := false; !registered; {
+		runtime.Gosched()
+		r.mu.Lock()
+		_, registered = r.fixtures[datasets.ClueWeb]
+		r.mu.Unlock()
+	}
+	if d, err := r.TryDataset(datasets.Twitter); err != nil || d != warm {
+		t.Fatalf("TryDataset(twitter) = %p, %v; want the warm fixture %p", d, err, warm)
+	}
+	r.Governor()
+	r.Planner()
+	close(probed)
+
+	if !<-inTime {
+		t.Fatal("warm lookups returned only after the cold fixture's preparation")
+	}
+}

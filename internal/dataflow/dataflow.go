@@ -81,7 +81,7 @@ func (g *Gelly) Name() string { return "gelly" }
 func (g *Gelly) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt engine.Options) *engine.Result {
 	res := engine.Begin(c, g.Name(), d, w, opt)
 	prof := g.Profile
-	var gr *graph.Graph
+	gr := d.Graph
 	var loaded int64
 
 	res.Timed(c, &res.Overhead, func() error {
@@ -101,9 +101,6 @@ func (g *Gelly) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt en
 	// Source + map operators: read the edge file, build the Gelly
 	// graph datasets.
 	res.Timed(c, &res.Load, func() (err error) {
-		if gr, err = d.LoadGraph(graph.FormatEdge); err != nil {
-			return err
-		}
 		loaded, err = g.chargeLoad(c, &prof, d, gr, w)
 		return err
 	})

@@ -1,6 +1,7 @@
 // Package engine defines the contract shared by the eight system
 // implementations: the workload specifications of §3 of the paper, the
-// dataset handle engines load from simulated HDFS, per-run options, and
+// dataset handle (the prepared graph plus its simulated-HDFS catalogue
+// entries, which the load phases are charged from), per-run options, and
 // the Result record with the paper's time decomposition
 // (load / execute / save / overhead) and failure status.
 package engine
@@ -130,6 +131,20 @@ func NewTriangleCount() Workload { return Workload{Kind: Triangle} }
 // NewLPA returns the label-propagation workload with the default
 // iteration cap.
 func NewLPA() Workload { return Workload{Kind: LPA, MaxIterations: DefaultLPAIterations} }
+
+// PageRankDone is PageRank's stop rule after a round: with MaxIterations
+// set, the fixed-iteration criterion ("I") regardless of maxDelta;
+// otherwise the tolerance criterion ("T"), an unset Tolerance meaning
+// the paper's 0.01.
+func (w Workload) PageRankDone(iters int, maxDelta float64) bool {
+	if w.MaxIterations > 0 {
+		return iters >= w.MaxIterations
+	}
+	if w.Tolerance <= 0 {
+		return maxDelta < 0.01
+	}
+	return maxDelta < w.Tolerance
+}
 
 // LPAIterations returns the workload's synchronous round cap.
 func (w Workload) LPAIterations() int {
@@ -551,10 +566,13 @@ type Engine interface {
 	Run(c *sim.Cluster, d *Dataset, w Workload, opt Options) *Result
 }
 
-// Dataset is the handle engines receive: files in simulated HDFS in the
-// three formats, plus the metadata needed for cost accounting.
+// Dataset is the handle engines receive: the prepared graph every run
+// computes on (shared and read-only — engines build the views they need
+// as new graphs), the catalogue entries of its three on-disk formats in
+// simulated HDFS, and the metadata needed for cost accounting.
 type Dataset struct {
 	Name        string
+	Graph       *graph.Graph
 	FS          *hdfs.FS
 	PathPrefix  string
 	NumVertices int
@@ -609,27 +627,23 @@ func (d *Dataset) Open(f graph.Format) (*hdfs.File, error) {
 	return d.FS.Open(d.Path(f))
 }
 
-// LoadGraph decodes the dataset from HDFS in the given format. This is
-// the real parsing work every engine performs at load time.
-func (d *Dataset) LoadGraph(f graph.Format) (*graph.Graph, error) {
-	return d.FS.ReadGraph(d.Path(f), f, d.NumVertices)
-}
-
 // FileBytes returns the paper-scale size of the dataset in format f.
 func (d *Dataset) FileBytes(f graph.Format) int64 { return d.PaperBytes[f] }
 
-// Prepare encodes g into all three formats in fs under prefix, split
-// into `chunks` chunks, and returns the Dataset handle. The paper-scale
-// file sizes are estimated from real per-format byte rates: ~21 B/edge
-// for the edge format (fitted to Table 5's block counts), 9 B/edge +
-// 8 B/vertex for adj, and adj plus 4 B/vertex for adj-long (real
-// datasets carry ~9-digit ids).
+// Prepare registers g's three on-disk formats in fs under prefix, each
+// split into `chunks` chunks, and returns the Dataset handle holding g.
+// Load phases are charged from the registered paper-scale sizes and
+// chunk counts; no bytes are encoded. The sizes are estimated from real
+// per-format byte rates: ~21 B/edge for the edge format (fitted to
+// Table 5's block counts), 9 B/edge + 8 B/vertex for adj, and adj plus
+// 4 B/vertex for adj-long (real datasets carry ~9-digit ids).
 func Prepare(fs *hdfs.FS, g *graph.Graph, prefix string, chunks int, source graph.VertexID) (*Dataset, error) {
 	scale := g.ScaleFactor()
 	pv := float64(g.NumVertices()) * scale
 	pe := float64(g.NumEdges()) * scale
 	d := &Dataset{
 		Name:        g.Name(),
+		Graph:       g,
 		FS:          fs,
 		PathPrefix:  prefix,
 		NumVertices: g.NumVertices(),
@@ -641,10 +655,8 @@ func Prepare(fs *hdfs.FS, g *graph.Graph, prefix string, chunks int, source grap
 			graph.FormatAdjLong: int64(pe*9 + pv*12),
 		},
 	}
-	for _, f := range []graph.Format{graph.FormatAdj, graph.FormatAdjLong, graph.FormatEdge} {
-		if _, err := fs.WriteGraph(d.Path(f), g, f, d.PaperBytes[f], chunks); err != nil {
-			return nil, err
-		}
+	for f, bytes := range d.PaperBytes {
+		fs.Create(d.Path(f), bytes, chunks)
 	}
 	return d, nil
 }

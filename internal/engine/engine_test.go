@@ -86,7 +86,7 @@ func TestDilationFor(t *testing.T) {
 	}
 }
 
-func TestPrepareWritesAllFormats(t *testing.T) {
+func TestPrepareRegistersAllFormats(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
@@ -108,13 +108,9 @@ func TestPrepareWritesAllFormats(t *testing.T) {
 		if d.FileBytes(f) <= 0 {
 			t.Errorf("%v: no paper bytes", f)
 		}
-		got, err := d.LoadGraph(f)
-		if err != nil {
-			t.Fatalf("%v: load: %v", f, err)
-		}
-		if got.NumEdges() != 3 {
-			t.Errorf("%v: %d edges", f, got.NumEdges())
-		}
+	}
+	if d.Graph != g {
+		t.Error("Dataset.Graph is not the prepared graph")
 	}
 	// Edge format carries ~21 B/edge at paper scale.
 	if got := d.FileBytes(graph.FormatEdge); got != 3*1000*hdfs.EdgeFormatBytesPerEdge {

@@ -107,10 +107,7 @@ func (g *GraphLab) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt
 	// Load: parallel chunked HDFS read (C++ client: one thread per
 	// chunk, §4.3), self-edge drop, vertex-cut partitioning, mirrors.
 	res.Timed(c, &res.Load, func() (err error) {
-		if gr, err = d.LoadGraph(graph.FormatAdj); err != nil {
-			return err
-		}
-		gr = gr.WithoutSelfEdges() // §3.1.1: GraphLab cannot represent self-edges
+		gr = d.Graph.WithoutSelfEdges() // §3.1.1: GraphLab cannot represent self-edges
 		kind := partitionKind(opt, m)
 		vc = partition.BuildVertexCut(gr, m, kind, 7)
 		res.ReplicationFactor = vc.ReplicationFactor()

@@ -83,7 +83,7 @@ func (g *GraphX) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt e
 		parts = DefaultPartitions(d)
 	}
 	sc := rdd.NewContext(c, &prof, d.Scale, parts, 17)
-	var gr *graph.Graph
+	gr := d.Graph
 	var loaded int64
 
 	// Spark standalone startup.
@@ -91,9 +91,6 @@ func (g *GraphX) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt e
 	// Load: read the edge-format file, build vertex and edge RDDs with
 	// vertex-cut partitioning.
 	res.Timed(c, &res.Load, func() (err error) {
-		if gr, err = d.LoadGraph(graph.FormatEdge); err != nil {
-			return err
-		}
 		vc := partition.BuildVertexCut(gr, m, partition.VCRandom, 7)
 		res.ReplicationFactor = vc.ReplicationFactor()
 		loaded, err = g.chargeLoad(c, sc, d, gr, vc)

@@ -54,8 +54,7 @@ func PlannerGrid(r *core.Runner) string {
 		byCell[key] = metrics.ResourceOf(res)
 	}
 
-	// Decide every cell first (decisions are pure functions of the
-	// profiles), then feed realized telemetry back.
+	// Decide every cell (decisions are pure functions of the profiles).
 	var decisions []*plan.Decision
 	for _, name := range plannerDatasets {
 		for _, k := range kinds {
@@ -69,17 +68,21 @@ func PlannerGrid(r *core.Runner) string {
 		}
 	}
 	plannerTotal, plannerFails := 0.0, 0
+	var traces strings.Builder
 	for _, d := range decisions {
 		key := fmt.Sprintf("%s|%s|%s|%d", d.System, d.Request.Dataset, d.Request.Workload, d.Machines)
 		rsc, ok := byCell[key]
 		if !ok {
 			panic("harness: planner chose a system outside the run grid: " + key)
 		}
-		r.Planner().Observe(d, rsc)
-		plannerTotal += d.RealizedScore
+		score := plan.ResourceScore(rsc)
+		plannerTotal += score
 		if !rsc.OK() {
 			plannerFails++
 		}
+		traces.WriteString(d.Trace())
+		fmt.Fprintf(&traces, "  realized: status=%s time=%.1fs mem=%s net=%s score=%.1f\n",
+			rsc.Status, rsc.TimeSec, metrics.FmtBytes(rsc.MemTotalBytes), metrics.FmtBytes(rsc.NetBytes), score)
 	}
 
 	// Fixed-configuration totals over the same cells.
@@ -127,8 +130,6 @@ func PlannerGrid(r *core.Runner) string {
 	b.WriteString(table([]string{"Config", "Fails", "Total cost (s)", "vs planner"}, out))
 	fmt.Fprintf(&b, "planner beats every fixed configuration: %v\n", beats)
 	b.WriteString("\nDecision traces:\n")
-	for _, d := range decisions {
-		b.WriteString(d.Trace())
-	}
+	b.WriteString(traces.String())
 	return b.String()
 }

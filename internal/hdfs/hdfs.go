@@ -1,23 +1,19 @@
 // Package hdfs simulates the distributed file system every system in
 // the paper (except Vertica) reads inputs from and writes results to.
 //
-// Files hold real synthetic-scale bytes (engines genuinely parse them)
-// plus a modeled paper-scale size used for I/O cost accounting and for
-// the block count that drives GraphX's default partition number
-// (Table 5: #partitions defaults to #blocks; the HDFS block size is
-// 64 MB). Files also record a chunk count: the paper pre-partitions
+// It is a catalogue, not a store: a file is a name, a modeled
+// paper-scale size used for I/O cost accounting and for the block count
+// that drives GraphX's default partition number (Table 5: #partitions
+// defaults to #blocks; the HDFS block size is 64 MB), and a chunk
+// count. Engines compute on the prepared graph (engine.Dataset.Graph)
+// and charge their load phase from these entries; the package also
+// holds the read and write cost formulas. The paper pre-partitions
 // datasets into similar-size chunks because the C++ HDFS client used by
 // Blogel and GraphLab spawns one reader thread per chunk — a single
 // chunk serializes the entire load onto the master (§4.3).
 package hdfs
 
-import (
-	"bytes"
-	"fmt"
-	"sort"
-
-	"graphbench/internal/graph"
-)
+import "fmt"
 
 // BlockSize is the HDFS default block size used in the paper (64 MB).
 const BlockSize = 64 << 20
@@ -30,10 +26,9 @@ const ReplicationFactor = 3
 // fitted to Table 5's block counts.
 const EdgeFormatBytesPerEdge = 21
 
-// File is a stored file.
+// File is a catalogue entry.
 type File struct {
 	Name       string
-	Data       []byte
 	PaperBytes int64 // modeled on-disk size at paper scale
 	Chunks     int   // number of similar-size chunks the file is split into
 }
@@ -51,7 +46,7 @@ func (f *File) Blocks() int {
 	return b
 }
 
-// FS is an in-memory simulated HDFS namespace.
+// FS is a simulated HDFS namespace.
 type FS struct {
 	files map[string]*File
 }
@@ -59,12 +54,12 @@ type FS struct {
 // New returns an empty file system.
 func New() *FS { return &FS{files: make(map[string]*File)} }
 
-// Create stores a file, replacing any previous file of the same name.
-func (fs *FS) Create(name string, data []byte, paperBytes int64, chunks int) *File {
+// Create registers a file, replacing any previous file of the same name.
+func (fs *FS) Create(name string, paperBytes int64, chunks int) *File {
 	if chunks < 1 {
 		chunks = 1
 	}
-	f := &File{Name: name, Data: data, PaperBytes: paperBytes, Chunks: chunks}
+	f := &File{Name: name, PaperBytes: paperBytes, Chunks: chunks}
 	fs.files[name] = f
 	return f
 }
@@ -76,48 +71,6 @@ func (fs *FS) Open(name string) (*File, error) {
 		return nil, fmt.Errorf("hdfs: file %q does not exist", name)
 	}
 	return f, nil
-}
-
-// Exists reports whether the named file exists.
-func (fs *FS) Exists(name string) bool {
-	_, ok := fs.files[name]
-	return ok
-}
-
-// Delete removes the named file; deleting a missing file is a no-op.
-func (fs *FS) Delete(name string) { delete(fs.files, name) }
-
-// List returns all file names in sorted order.
-func (fs *FS) List() []string {
-	out := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// WriteGraph encodes g in the given format and stores it under name with
-// the supplied paper-scale size and chunk count.
-func (fs *FS) WriteGraph(name string, g *graph.Graph, format graph.Format, paperBytes int64, chunks int) (*File, error) {
-	var buf bytes.Buffer
-	if err := graph.Encode(g, format, &buf); err != nil {
-		return nil, fmt.Errorf("hdfs: encoding %q: %w", name, err)
-	}
-	return fs.Create(name, buf.Bytes(), paperBytes, chunks), nil
-}
-
-// ReadGraph decodes the named file as a graph in the given format.
-func (fs *FS) ReadGraph(name string, format graph.Format, numVertices int) (*graph.Graph, error) {
-	f, err := fs.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	g, err := graph.Decode(bytes.NewReader(f.Data), format, numVertices)
-	if err != nil {
-		return nil, fmt.Errorf("hdfs: decoding %q: %w", name, err)
-	}
-	return g, nil
 }
 
 // ParallelReadSeconds models the time for a cluster of m machines to

@@ -1,46 +1,32 @@
 package hdfs
 
-import (
-	"testing"
+import "testing"
 
-	"graphbench/internal/graph"
-)
-
-func TestCreateOpenDelete(t *testing.T) {
+func TestCreateOpen(t *testing.T) {
 	fs := New()
-	fs.Create("a", []byte("hello"), 100, 2)
+	fs.Create("a", 100, 2)
 	f, err := fs.Open("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(f.Data) != "hello" || f.PaperBytes != 100 || f.Chunks != 2 {
+	if f.Name != "a" || f.PaperBytes != 100 || f.Chunks != 2 {
 		t.Fatalf("file mismatch: %+v", f)
 	}
-	if !fs.Exists("a") || fs.Exists("b") {
-		t.Fatal("Exists wrong")
+	if _, err := fs.Open("b"); err == nil {
+		t.Fatal("opening a missing file succeeded")
 	}
-	fs.Delete("a")
-	if _, err := fs.Open("a"); err == nil {
-		t.Fatal("open after delete succeeded")
+	// Create replaces an entry of the same name.
+	fs.Create("a", 7, 1)
+	if f, _ := fs.Open("a"); f.PaperBytes != 7 || f.Chunks != 1 {
+		t.Fatalf("replaced file mismatch: %+v", f)
 	}
-	fs.Delete("a") // no-op
 }
 
 func TestCreateClampsChunks(t *testing.T) {
 	fs := New()
-	f := fs.Create("x", nil, 0, 0)
+	f := fs.Create("x", 0, 0)
 	if f.Chunks != 1 {
 		t.Fatalf("Chunks = %d, want 1", f.Chunks)
-	}
-}
-
-func TestList(t *testing.T) {
-	fs := New()
-	fs.Create("b", nil, 0, 1)
-	fs.Create("a", nil, 0, 1)
-	got := fs.List()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("List = %v", got)
 	}
 }
 
@@ -83,32 +69,6 @@ func TestBlocksMatchPaperTable5(t *testing.T) {
 		if got < c.want-c.tol || got > c.want+c.tol {
 			t.Errorf("%s: Blocks = %d, want %d±%d", c.name, got, c.want, c.tol)
 		}
-	}
-}
-
-func TestWriteReadGraph(t *testing.T) {
-	fs := New()
-	b := graph.NewBuilder(3)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	g := b.Build()
-
-	if _, err := fs.WriteGraph("g.edge", g, graph.FormatEdge, 1000, 4); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs.ReadGraph("g.edge", graph.FormatEdge, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumEdges() != 2 || got.OutNeighbors(0)[0] != 1 {
-		t.Fatalf("round-trip mismatch")
-	}
-	if _, err := fs.ReadGraph("missing", graph.FormatEdge, 3); err == nil {
-		t.Fatal("reading missing file succeeded")
-	}
-	// Wrong format must fail to parse.
-	if _, err := fs.ReadGraph("g.edge", graph.FormatAdjLong, 3); err == nil {
-		t.Fatal("decoding edge file as adj-long succeeded")
 	}
 }
 

@@ -159,18 +159,12 @@ func (jr *jobRunner) run(jc jobCost) error {
 // Run implements engine.Engine.
 func (h *Hadoop) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt engine.Options) *engine.Result {
 	res := engine.Begin(c, h.Name(), d, w, opt)
-	var gr *graph.Graph
+	gr := d.Graph
 
 	// "Load" for Hadoop is only staging: the data is already in HDFS.
-	res.Timed(c, &res.Load, func() (err error) {
-		// Fixed JVM footprint for the task slots; disk-based processing
-		// never grows it (§5.9's "out-of-core systems may have a role").
-		if err = c.AllocAll(h.Profile.PerMachineBase); err != nil {
-			return err
-		}
-		gr, err = d.LoadGraph(graph.FormatAdj)
-		return err
-	})
+	// Fixed JVM footprint for the task slots; disk-based processing
+	// never grows it (§5.9's "out-of-core systems may have a role").
+	res.Timed(c, &res.Load, func() error { return c.AllocAll(h.Profile.PerMachineBase) })
 	res.Timed(c, &res.Exec, func() error {
 		jr := &jobRunner{h: h, c: c, recover: opt.Recover, costs: &res.Costs}
 		return h.iterate(c, d, gr, w, res, jr)

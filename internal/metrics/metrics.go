@@ -57,7 +57,7 @@ type Record struct {
 // cost model consumes: the axes of the resource-efficiency study
 // (wall time, CPU time, memory footprint, message volume) plus the
 // cluster size that produced them. Extracted from results by
-// ResourceOf and fed back via plan.Planner.Observe.
+// ResourceOf and scored by plan.ResourceScore.
 type Resource struct {
 	TimeSec       float64 `json:"time_sec"`
 	CPUSec        float64 `json:"cpu_sec"`

@@ -48,23 +48,20 @@
 // time, so they ride along with the engine choice rather than being
 // scored.
 //
-// # Telemetry feedback
+// # Sticky decisions
 //
-// After a planned run executes, Planner.Observe feeds the realized
-// metrics.Resource back into the model: later first-time decisions
-// that consider that exact (dataset, workload, system, machines)
-// configuration use the realized values in place of the prediction.
-// Decisions themselves are sticky — the first Decide for a request
-// cell is pinned for the planner's lifetime and repeats return it
-// unchanged — so downstream result caches keyed on the decision stay
-// stable while telemetry accumulates.
+// The first Decide for a request cell is pinned for the planner's
+// lifetime and repeats return it unchanged, so downstream result
+// caches keyed on the decision stay stable. ResourceScore puts a
+// run's realized metrics.Resource on the same scale as a prediction;
+// the planner artifact and graphbench -plan auto print it beside the
+// trace.
 //
 // # Trace format
 //
 // Every Decision carries its audit trail: the request, the profile,
-// every candidate with status/score/source ("calibrated", "curve", or
-// "observed"), the chosen configuration, and — after Observe — the
-// realized cost beside the predicted one. Decision.Summary is the
+// every candidate with status/score/source ("calibrated" or "curve")
+// and the chosen configuration. Decision.Summary is the
 // one-line form (the X-Graphserve-Plan response header);
 // Decision.Trace is the multi-line block the graphbench planner
 // artifact prints; the struct itself marshals to JSON for /metrics.

@@ -106,7 +106,7 @@ type Prediction struct {
 	MemMax     int64   `json:"mem_max_bytes"`   // largest per-machine peak
 	NetBytes   int64   `json:"net_bytes"`
 	Iterations int     `json:"iterations"`
-	Source     string  `json:"source"` // "calibrated", "curve", or "observed"
+	Source     string  `json:"source"` // "calibrated" or "curve"
 }
 
 // Failure-predictor constants. These encode the paper's failure

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"graphbench/internal/engine"
-	"graphbench/internal/metrics"
 )
 
 // Request is one planning question: run this workload on this dataset
@@ -29,36 +28,21 @@ func (r Request) Key() string {
 	return fmt.Sprintf("%s|%s|%d", r.Dataset, r.Workload, r.Machines)
 }
 
-// obsKey identifies one observed configuration in the telemetry store.
-type obsKey struct {
-	dataset  string
-	workload string
-	system   string
-	machines int
-}
-
 // Planner makes adaptive configuration decisions from dataset profiles
-// and the calibrated cost model, and folds realized run telemetry back
-// into future decisions. Safe for concurrent use.
+// and the calibrated cost model. Safe for concurrent use.
 //
 // Determinism: the first Decide for a request cell is a pure function
-// of (profile, request, telemetry store), and the decision is then
-// pinned — repeating the request returns the same decision, so
-// serving paths can cache on it and a cell never flip-flops as
-// telemetry accumulates. Observed telemetry refines only cells that
-// have not been decided yet.
+// of (profile, request), and the decision is then pinned — repeating
+// the request returns the same decision, so serving paths can cache on
+// it.
 type Planner struct {
-	mu       sync.Mutex
-	observed map[obsKey]metrics.Resource
-	decided  map[string]*Decision // canonical decision per Request.Key()
+	mu      sync.Mutex
+	decided map[string]*Decision // canonical decision per Request.Key()
 }
 
-// New returns an empty planner (no telemetry observed yet).
+// New returns an empty planner.
 func New() *Planner {
-	return &Planner{
-		observed: make(map[obsKey]metrics.Resource),
-		decided:  make(map[string]*Decision),
-	}
+	return &Planner{decided: make(map[string]*Decision)}
 }
 
 // Configuration heuristics, documented here because tests pin them.
@@ -89,29 +73,26 @@ const (
 // candidates), shard count, shard plan, direction mode, and memory
 // tier. The returned decision carries the full trace — profile,
 // scored candidates, chosen configuration, predicted cost — and is
-// bit-deterministic for a given (profile, request, telemetry) state.
+// bit-deterministic for a given (profile, request).
 //
 // Decisions are sticky: the first Decide for a request cell is pinned,
-// and later calls for the same cell return a copy of it (each caller
-// owns its Realized fields). Pinning keeps downstream cache keys and
-// response headers stable even as Observe accumulates telemetry.
+// and later calls for the same cell return that decision. It is
+// immutable and shared by every caller; pinning keeps downstream cache
+// keys and response headers stable.
 func (p *Planner) Decide(pr *Profile, req Request) *Decision {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if prev, ok := p.decided[req.Key()]; ok {
-		cp := *prev
-		cp.Realized = nil
-		cp.RealizedScore = 0
-		return &cp
+	key := req.Key()
+	d, ok := p.decided[key]
+	if !ok {
+		d = decide(pr, req)
+		p.decided[key] = d
 	}
-	d := p.decide(pr, req)
-	p.decided[req.Key()] = d
-	cp := *d
-	return &cp
+	return d
 }
 
-// decide computes a fresh decision. Caller holds p.mu.
-func (p *Planner) decide(pr *Profile, req Request) *Decision {
+// decide computes a fresh decision.
+func decide(pr *Profile, req Request) *Decision {
 	d := &Decision{
 		Request:  req,
 		Profile:  pr,
@@ -119,7 +100,7 @@ func (p *Planner) decide(pr *Profile, req Request) *Decision {
 	}
 
 	for _, sys := range modelSystems(req.Workload) {
-		pred := p.lookup(pr, sys, req)
+		pred := predict(pr, sys, req.Workload, req.Machines)
 		c := Candidate{System: sys, Prediction: pred, Score: Score(pred, req.Machines)}
 		d.Candidates = append(d.Candidates, c)
 		// Strict less-than: candidates arrive in sorted key order, so
@@ -171,49 +152,6 @@ func (p *Planner) decide(pr *Profile, req Request) *Decision {
 	return d
 }
 
-// lookup returns the cost forecast for one candidate, preferring
-// realized telemetry over the model when this exact configuration has
-// been observed. Caller holds p.mu.
-func (p *Planner) lookup(pr *Profile, sys string, req Request) Prediction {
-	k := obsKey{dataset: req.Dataset, workload: req.Workload, system: sys, machines: req.Machines}
-	r, ok := p.observed[k]
-	if !ok {
-		return predict(pr, sys, req.Workload, req.Machines)
-	}
-	status := r.Status
-	if status == "" {
-		status = "OK"
-	}
-	return Prediction{
-		Status:   status,
-		TimeSec:  r.TimeSec,
-		CPUSec:   r.CPUSec,
-		MemTotal: r.MemTotalBytes,
-		MemMax:   r.MemMaxBytes,
-		NetBytes: r.NetBytes,
-		Source:   "observed",
-	}
-}
-
-// Observe feeds one run's realized telemetry back into the cost model:
-// Decide calls for not-yet-decided cells matching (dataset, workload,
-// system, machines) use the realized values instead of the prediction;
-// already-decided cells keep their pinned decision. The realized cost
-// is recorded on d (the caller's copy) for its trace.
-func (p *Planner) Observe(d *Decision, r metrics.Resource) {
-	d.Realized = &r
-	d.RealizedScore = ResourceScore(r)
-	k := obsKey{
-		dataset:  d.Request.Dataset,
-		workload: d.Request.Workload,
-		system:   d.System,
-		machines: r.Machines,
-	}
-	p.mu.Lock()
-	p.observed[k] = r
-	p.mu.Unlock()
-}
-
 // Decisions returns the one-line summary of every pinned decision, keyed
 // by request cell (Request.Key()) — the view /metrics serves.
 func (p *Planner) Decisions() map[string]string {
@@ -224,12 +162,4 @@ func (p *Planner) Decisions() map[string]string {
 		out[k] = d.Summary()
 	}
 	return out
-}
-
-// Observed reports how many distinct configurations have realized
-// telemetry in the store.
-func (p *Planner) Observed() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.observed)
 }

@@ -17,9 +17,9 @@ type Candidate struct {
 
 // Decision is the planner's answer to one Request, carrying the full
 // audit trail: the inputs (request and profile), every candidate with
-// its forecast and score, the chosen configuration, and — once the run
-// executed and was Observed — the realized cost next to the predicted
-// one.
+// its forecast and score, and the chosen configuration. A pinned
+// decision is shared by every request for its cell: treat it as
+// immutable.
 type Decision struct {
 	Request Request  `json:"request"`
 	Profile *Profile `json:"profile"`
@@ -35,11 +35,6 @@ type Decision struct {
 	Predicted  Prediction  `json:"predicted"`
 	Score      float64     `json:"score"`
 	Candidates []Candidate `json:"candidates"`
-
-	// Realized telemetry and its composite score, set by
-	// Planner.Observe after the run.
-	Realized      *metrics.Resource `json:"realized,omitempty"`
-	RealizedScore float64           `json:"realized_score,omitempty"`
 }
 
 // Summary is the one-line form of the decision, used in response
@@ -52,8 +47,7 @@ func (d *Decision) Summary() string {
 }
 
 // Trace renders the full audit trail as an indented multi-line block:
-// inputs, every candidate score, the chosen configuration, and the
-// realized cost when present.
+// inputs, every candidate score and the chosen configuration.
 func (d *Decision) Trace() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan %s @ %d machines\n", d.Request.Key(), d.Machines)
@@ -72,11 +66,6 @@ func (d *Decision) Trace() string {
 			c.Prediction.Source)
 	}
 	fmt.Fprintf(&b, "  chosen: %s\n", d.Summary())
-	if d.Realized != nil {
-		fmt.Fprintf(&b, "  realized: status=%s time=%.1fs mem=%s net=%s score=%.1f\n",
-			d.Realized.Status, d.Realized.TimeSec, metrics.FmtBytes(d.Realized.MemTotalBytes),
-			metrics.FmtBytes(d.Realized.NetBytes), d.RealizedScore)
-	}
 	return b.String()
 }
 

@@ -62,7 +62,7 @@ func (g *Giraph) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt e
 	res := engine.Begin(c, g.Name(), d, w, opt)
 	prof := g.Profile
 	m := c.Size()
-	var gr *graph.Graph
+	gr := d.Graph
 	var loaded int64
 
 	// Job startup through the Hadoop resource manager.
@@ -70,9 +70,6 @@ func (g *Giraph) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt e
 	// Load: read the adj file from HDFS, shuffle records to their hash
 	// partition, build in-memory vertex/edge structures.
 	res.Timed(c, &res.Load, func() (err error) {
-		if gr, err = d.LoadGraph(graph.FormatAdj); err != nil {
-			return err
-		}
 		loaded, err = chargeLoad(c, &prof, d, gr, w)
 		return err
 	})

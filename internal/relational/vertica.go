@@ -51,15 +51,12 @@ func (e *Vertica) Name() string { return "vertica" }
 func (e *Vertica) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt engine.Options) *engine.Result {
 	res := engine.Begin(c, e.Name(), d, w, opt)
 	m := c.Size()
-	var work *graph.Graph
+	work := d.Graph
 
 	// Load: COPY the edge list into the segmented, sorted edge
 	// projection. Vertica uses its own storage, not HDFS (§2.6).
-	res.Timed(c, &res.Load, func() (err error) {
-		if err = c.AllocAll(e.Profile.PerMachineBase); err != nil {
-			return err
-		}
-		if work, err = d.LoadGraph(graph.FormatEdge); err != nil {
+	res.Timed(c, &res.Load, func() error {
+		if err := c.AllocAll(e.Profile.PerMachineBase); err != nil {
 			return err
 		}
 		edgeBytes := float64(work.NumEdges()) * d.Scale * edgeRowBytes
@@ -153,10 +150,7 @@ func (e *Vertica) iterate(c *sim.Cluster, d *engine.Dataset, work *graph.Graph,
 				res.Ranks = ranks
 				return err
 			}
-			if w.MaxIterations > 0 && iters >= w.MaxIterations {
-				break
-			}
-			if w.MaxIterations <= 0 && maxDelta < w.Tolerance {
+			if w.PageRankDone(iters, maxDelta) {
 				break
 			}
 		}

@@ -65,9 +65,6 @@ func TestServerAutoPlan(t *testing.T) {
 	if m.Planner.DecisionsTotal < 2 {
 		t.Fatalf("decisions_total = %d, want >= 2", m.Planner.DecisionsTotal)
 	}
-	if m.Planner.Observed == 0 {
-		t.Fatal("no realized telemetry observed after a planned run")
-	}
 	found := false
 	for _, summary := range m.Planner.Decisions {
 		if summary == plan {

@@ -88,7 +88,8 @@ type Config struct {
 
 	// Datasets to warm at startup (nil = all four). Queries against
 	// datasets outside this list still work — their fixture is prepared
-	// on first use, paying the generation cost on that request.
+	// on first use, paying the generation cost on that request (and on
+	// that request only: other datasets keep answering meanwhile).
 	Datasets []datasets.Name
 
 	// MaxRetries is how many times a run killed by a recoverable fault
@@ -307,15 +308,14 @@ type metricsBody struct {
 	Governor *govern.Stats `json:"governor,omitempty"`
 
 	// Planner reports the adaptive planner's activity (decision count,
-	// observed configurations, the latest decision summary per request
-	// cell); omitted until the first system=auto request.
+	// the decision summary per request cell); omitted until the first
+	// system=auto request.
 	Planner *plannerBody `json:"planner,omitempty"`
 }
 
 // plannerBody is the /metrics view of the adaptive planner.
 type plannerBody struct {
 	DecisionsTotal uint64            `json:"decisions_total"`
-	Observed       int               `json:"observed_configs"`
 	Decisions      map[string]string `json:"decisions"`
 }
 
@@ -400,7 +400,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if total := s.planTotal.Load(); total > 0 {
 		body.Planner = &plannerBody{
 			DecisionsTotal: total,
-			Observed:       s.runner.Planner().Observed(),
 			Decisions:      s.runner.Planner().Decisions(),
 		}
 	}
