@@ -633,10 +633,7 @@ func (bx *bExec) pageRank() error {
 		if err := bx.chargeRound(float64(bx.g.NumEdges()), float64(bx.g.NumEdges()), false); err != nil {
 			return err
 		}
-		if bx.w.MaxIterations > 0 && iters >= bx.w.MaxIterations {
-			break
-		}
-		if bx.w.MaxIterations <= 0 && maxDelta < tol {
+		if bx.w.PageRankDone(iters, maxDelta) {
 			break
 		}
 	}

@@ -301,7 +301,7 @@ func (rt *runtime) setupOOC(threshold int) error {
 			return nil, err
 		}
 		if len(edges) > 0 {
-			if _, err := w.Write(bytesOfVIDs(edges)); err != nil {
+			if _, err := w.Write(bytesOf(edges)); err != nil {
 				w.Finish()
 				return nil, err
 			}
@@ -389,7 +389,7 @@ func (oc *oocState) inboxMsgs(i int, start, mlen int32) []float64 {
 	if p == nil {
 		return nil
 	}
-	return floatsOf(p)
+	return viewOf[float64](p)
 }
 
 // region returns merge shard i's region buffer grown to n values,
@@ -415,7 +415,7 @@ func (oc *oocState) writeRegion(i int, region []float64, base int32) {
 		return
 	}
 	if len(region) > 0 {
-		if _, err := w.Write(bytesOfFloats(region)); err != nil {
+		if _, err := w.Write(bytesOf(region)); err != nil {
 			oc.fail(err)
 			w.Finish()
 			return
@@ -534,7 +534,7 @@ func (es *edgeStream) neighbors(v graph.VertexID) []graph.VertexID {
 	if p == nil {
 		return nil
 	}
-	return vidsOf(p)
+	return viewOf[graph.VertexID](p)
 }
 
 // chunkRef locates one spilled bucket chunk: count messages for a
@@ -599,9 +599,9 @@ func (sp *bucketSpill) flush(ss *shardState) {
 		if n == 0 {
 			continue
 		}
-		dstB := bytesOfVIDs(b.dst)
-		srcB := bytesOfInt32s(b.srcM)
-		valB := bytesOfFloats(b.val)
+		dstB := bytesOf(b.dst)
+		srcB := bytesOf(b.srcM)
+		valB := bytesOf(b.val)
 		crc := crc32.Update(0, oocCRC, dstB)
 		crc = crc32.Update(crc, oocCRC, srcB)
 		crc = crc32.Update(crc, oocCRC, valB)
@@ -651,7 +651,7 @@ func (sp *bucketSpill) readChunk(mergeIdx int, ref chunkRef) (dst []graph.Vertex
 		oc.fail(fmt.Errorf("bsp: spill chunk at %d checksum mismatch (corrupt spill)", ref.off))
 		return nil, nil, nil, false
 	}
-	return vidsOf(buf[:4*n]), int32sOf(buf[4*n : 8*n]), floatsOf(buf[8*n : 16*n]), true
+	return viewOf[graph.VertexID](buf[:4*n]), viewOf[int32](buf[4*n : 8*n]), viewOf[float64](buf[8*n : 16*n]), true
 }
 
 // Unsafe aliased views between typed slices and their raw bytes. All
@@ -659,44 +659,17 @@ func (sp *bucketSpill) readChunk(mergeIdx int, ref chunkRef) (dst []graph.Vertex
 // holds because buffers come from govern.AlignedBytes and every typed
 // view starts at an offset that is a multiple of its element size.
 
-func bytesOfVIDs(s []graph.VertexID) []byte {
+func bytesOf[T ~int32 | float64](s []T) []byte {
 	if len(s) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*4)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
 }
 
-func bytesOfInt32s(s []int32) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*4)
-}
-
-func bytesOfFloats(s []float64) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)
-}
-
-func vidsOf(p []byte) []graph.VertexID {
+func viewOf[T ~int32 | float64](p []byte) []T {
 	if len(p) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*graph.VertexID)(unsafe.Pointer(&p[0])), len(p)/4)
-}
-
-func int32sOf(p []byte) []int32 {
-	if len(p) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&p[0])), len(p)/4)
-}
-
-func floatsOf(p []byte) []float64 {
-	if len(p) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&p[0])), len(p)/8)
+	var zero T
+	return unsafe.Slice((*T)(unsafe.Pointer(&p[0])), len(p)/int(unsafe.Sizeof(zero)))
 }

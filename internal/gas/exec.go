@@ -237,10 +237,7 @@ func (ex *execution) syncPageRank() error {
 				break
 			}
 		}
-		if ex.w.MaxIterations > 0 && iters >= ex.w.MaxIterations {
-			break
-		}
-		if ex.w.MaxIterations <= 0 && maxDelta < tol {
+		if ex.w.PageRankDone(iters, maxDelta) {
 			break
 		}
 	}
@@ -519,10 +516,7 @@ func (ex *execution) runAsync() error {
 			return allocErr
 		}
 		if ex.w.Kind == engine.PageRank {
-			if ex.w.MaxIterations > 0 && iters >= ex.w.MaxIterations {
-				break
-			}
-			if ex.w.MaxIterations <= 0 && maxDelta < tol {
+			if ex.w.PageRankDone(iters, maxDelta) {
 				break
 			}
 		} else if updates == 0 {

@@ -58,10 +58,7 @@ func FullScanRounds(work *graph.Graph, w engine.Workload, source graph.VertexID,
 		}
 		switch w.Kind {
 		case engine.PageRank:
-			if w.MaxIterations > 0 && iters >= w.MaxIterations {
-				return values, iters, nil
-			}
-			if w.MaxIterations <= 0 && maxDelta < w.Tolerance {
+			if w.PageRankDone(iters, maxDelta) {
 				return values, iters, nil
 			}
 		case engine.KHop:
