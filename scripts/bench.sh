@@ -111,6 +111,9 @@ BEGIN {
 }
 /^Benchmark/ {
     name = $1; iters = $2; ns = ""; bytes = ""; allocs = ""
+    # Drop the -GOMAXPROCS suffix go test appends (none at 1), so
+    # snapshots from hosts with different core counts share names.
+    sub(/-[0-9]+$/, "", name)
     for (i = 3; i < NF; i++) {
         if ($(i+1) == "ns/op") ns = $i
         if ($(i+1) == "B/op") bytes = $i
