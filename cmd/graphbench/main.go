@@ -167,24 +167,29 @@ func parseKind(s string) (engine.Kind, error) {
 }
 
 func runOne(r *core.Runner, sysKey, dataset, workload string, machines int, logPath string) {
-	var sys core.System
-	if sysKey == "vertica" {
-		sys = core.Vertica()
-	} else {
-		var err error
-		sys, err = core.SystemByKey(sysKey)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "graphbench:", err)
-			os.Exit(2)
-		}
+	sys, err := core.SystemByKey(sysKey)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "graphbench:", err)
+		os.Exit(2)
 	}
 	kind, err := parseKind(workload)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "graphbench:", err)
 		os.Exit(2)
 	}
+	if !sys.Runs(kind) {
+		fmt.Fprintf(os.Stderr, "graphbench: system %q is a PageRank-only variant and cannot run %s\n", sysKey, kind)
+		os.Exit(2)
+	}
 	res := r.Run(sys, datasets.Name(dataset), kind, machines)
-	fmt.Printf("%s %s on %s, %d machines: %s\n", sys.Label, workload, dataset, machines, res.Status)
+	printResult(sys.Label, res, workload, dataset, machines)
+	writeLog(logPath, []*engine.Result{res})
+}
+
+// printResult prints a run's status line and, for a finished run, its
+// phase times and resources, or else what killed it.
+func printResult(system string, res *engine.Result, workload, dataset string, machines int) {
+	fmt.Printf("%s %s on %s, %d machines: %s\n", system, workload, dataset, machines, res.Status)
 	if res.Status == sim.OK {
 		fmt.Printf("  load %s  execute %s  save %s  overhead %s  total %s\n",
 			metrics.FmtSeconds(res.Load), metrics.FmtSeconds(res.Exec),
@@ -196,7 +201,6 @@ func runOne(r *core.Runner, sysKey, dataset, workload string, machines int, logP
 	} else if res.Err != nil {
 		fmt.Printf("  %v\n", res.Err)
 	}
-	writeLog(logPath, []*engine.Result{res})
 }
 
 // runAuto is the -plan auto entry point: ask the adaptive planner for
@@ -217,15 +221,7 @@ func runAuto(r *core.Runner, dataset, workload string, machines int, logPath str
 	rsc := metrics.ResourceOf(res)
 	fmt.Printf("  realized: status=%s time=%.1fs mem=%s net=%s score=%.1f\n",
 		rsc.Status, rsc.TimeSec, metrics.FmtBytes(rsc.MemTotalBytes), metrics.FmtBytes(rsc.NetBytes), plan.ResourceScore(rsc))
-	fmt.Printf("%s %s on %s, %d machines: %s\n", res.System, workload, dataset, machines, res.Status)
-	if res.Status == sim.OK {
-		fmt.Printf("  load %s  execute %s  save %s  overhead %s  total %s\n",
-			metrics.FmtSeconds(res.Load), metrics.FmtSeconds(res.Exec),
-			metrics.FmtSeconds(res.Save), metrics.FmtSeconds(res.Overhead),
-			metrics.FmtSeconds(res.TotalTime()))
-	} else if res.Err != nil {
-		fmt.Printf("  %v\n", res.Err)
-	}
+	printResult(res.System, res, workload, dataset, machines)
 	writeLog(logPath, []*engine.Result{res})
 }
 

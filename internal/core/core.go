@@ -100,12 +100,22 @@ func MainGridSystems() []System {
 	return out
 }
 
-// SystemByKey returns the registered system with the given key.
+// Runs reports whether the variant is evaluated on the workload kind:
+// every system runs every kind except the PageRank-only variants. Both
+// binaries reject a pair it refuses.
+func (s System) Runs(k engine.Kind) bool { return !s.PageRankOnly || k == engine.PageRank }
+
+// SystemByKey returns the system with the given key: a registry entry
+// or Vertica — looked at apart, not appended to a grown copy of the
+// registry, because graphserve resolves a key on every request.
 func SystemByKey(key string) (System, error) {
 	for _, s := range Systems() {
 		if s.Key == key {
 			return s, nil
 		}
+	}
+	if v := Vertica(); v.Key == key {
+		return v, nil
 	}
 	return System{}, fmt.Errorf("core: unknown system %q", key)
 }
@@ -606,10 +616,9 @@ func BestParallel(results []*engine.Result) *engine.Result {
 // SortedKeys returns the registry keys, sorted — a convenience for CLIs.
 func SortedKeys() []string {
 	var keys []string
-	for _, s := range Systems() {
+	for _, s := range append(Systems(), Vertica()) {
 		keys = append(keys, s.Key)
 	}
-	keys = append(keys, Vertica().Key)
 	sort.Strings(keys)
 	return keys
 }

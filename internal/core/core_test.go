@@ -45,8 +45,16 @@ func TestSystemByKey(t *testing.T) {
 	if _, err := SystemByKey("nope"); err == nil {
 		t.Fatal("unknown key accepted")
 	}
-	if Vertica().Label != "V" {
+	for _, key := range SortedKeys() {
+		if s, err := SystemByKey(key); err != nil || s.Key != key {
+			t.Errorf("listed key %q resolves to %q, %v", key, s.Key, err)
+		}
+	}
+	if s, _ := SystemByKey("vertica"); s.Label != "V" {
 		t.Fatal("vertica label")
+	}
+	if s, _ := SystemByKey("gl-a-r-t"); s.Runs(engine.WCC) || !s.Runs(engine.PageRank) {
+		t.Error("a PageRank-only variant runs PageRank and nothing else")
 	}
 }
 

@@ -9,8 +9,10 @@ import (
 	"graphbench/internal/datasets"
 	"graphbench/internal/engine"
 	"graphbench/internal/gas"
+	"graphbench/internal/graph"
 	"graphbench/internal/graphx"
 	"graphbench/internal/haloop"
+	"graphbench/internal/hdfs"
 	"graphbench/internal/mapreduce"
 	"graphbench/internal/pregel"
 	"graphbench/internal/relational"
@@ -114,6 +116,34 @@ func TestCrossEngineAgreement(t *testing.T) {
 				VerifyPageRank(t, f, res, w, 1e-9)
 			}
 		})
+	}
+}
+
+// TestKHopStopsWithTheFrontier pins the K-hop stop rule on a path
+// shorter than K: the frontier dies after one hop, and every engine
+// still reports the oracle's distances. The engines without a frontier
+// (kernel.FullScanRounds) stop on the first round that changes nothing
+// — here the second, not the Kth: a round that relaxed nothing is how a
+// full scan learns the traversal is over, and K only caps it.
+func TestKHopStopsWithTheFrontier(t *testing.T) {
+	b := graph.NewBuilder(4)
+	b.AddEdge(0, 1)
+	b.AddEdge(2, 3) // out of the source's reach
+	g := b.SetName("short-path").Build()
+	d, err := engine.Prepare(hdfs.New(), g, "data/short-path", 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &Fixture{Graph: g, Dataset: d}
+	for _, e := range allEngines() {
+		res := RunOK(t, e, f, 2, engine.NewKHop(0), engine.Options{})
+		VerifyKHop(t, f, res, 3)
+		switch e.Name() {
+		case "hadoop", "haloop", "graphx", "vertica":
+			if res.Iterations != 2 {
+				t.Errorf("%s: %d rounds, want 2 (one hop, one round that changed nothing)", e.Name(), res.Iterations)
+			}
+		}
 	}
 }
 

@@ -400,24 +400,17 @@ func (ex *execution) syncLPA() error {
 	return err
 }
 
-// runAsync executes the asynchronous engine: chaotic Gauss–Seidel
-// sweeps with immediate value visibility, lock-contention slowdown, and
-// the distributed-lock memory accumulation of §5.3 / Figure 10. The
-// sweep is inherently sequential — each vertex reads values written
-// moments earlier in the same permutation pass — so it does not shard.
-//
-// The paper evaluates the asynchronous engine on PageRank only; for the
-// extension workloads — whose algorithms are defined synchronously —
-// the engine falls back to the synchronous implementations.
+// runAsync executes the asynchronous engine's PageRank: chaotic
+// Gauss–Seidel sweeps with immediate value visibility, lock-contention
+// slowdown, and the distributed-lock memory accumulation of §5.3 /
+// Figure 10. The sweep is inherently sequential — each vertex reads
+// values written moments earlier in the same permutation pass — so it
+// does not shard. PageRank is the one workload the paper evaluates the
+// asynchronous engine on; GraphLab.Run sends every other kind to the
+// synchronous implementation.
 func (ex *execution) runAsync() error {
 	ex.init()
 	defer ex.release()
-	switch ex.w.Kind {
-	case engine.Triangle:
-		return ex.syncTriangles()
-	case engine.LPA:
-		return ex.syncLPA()
-	}
 	n := ex.g.NumVertices()
 	rng := rand.New(rand.NewSource(11))
 	order := rng.Perm(n)
@@ -447,49 +440,23 @@ func (ex *execution) runAsync() error {
 		maxDelta := 0.0
 		for _, vi := range order {
 			v := graph.VertexID(vi)
-			switch ex.w.Kind {
-			case engine.PageRank:
-				gatherEdges += float64(ex.g.InDegree(v))
-				mirrorMsgs += 2 * float64(ex.replicasM[v])
-				sum := 0.0
-				for _, u := range ex.g.InNeighbors(v) {
-					if d := ex.g.OutDegree(u); d > 0 {
-						sum += ex.values[u] / float64(d)
-					}
-				}
-				nv := ex.w.Damping + (1-ex.w.Damping)*sum
-				d := math.Abs(nv - ex.values[v])
-				if d > maxDelta {
-					maxDelta = d
-				}
-				if d > tol/10 {
-					updates++
-				}
-				ex.values[v] = nv
-			default:
-				// Chaotic min-propagation.
-				gatherEdges += float64(ex.g.InDegree(v))
-				newVal := ex.values[v]
-				for _, u := range ex.g.InNeighbors(v) {
-					if ex.values[u]+1 < newVal {
-						newVal = ex.values[u] + 1
-					}
-				}
-				if ex.w.Kind == engine.WCC {
-					newVal = math.Min(newVal, ex.values[v])
-					for _, u := range ex.g.InNeighbors(v) {
-						newVal = math.Min(newVal, ex.values[u])
-					}
-					for _, u := range ex.g.OutNeighbors(v) {
-						newVal = math.Min(newVal, ex.values[u])
-					}
-				}
-				if newVal < ex.values[v] {
-					ex.values[v] = newVal
-					updates++
-					maxDelta = 1
+			gatherEdges += float64(ex.g.InDegree(v))
+			mirrorMsgs += 2 * float64(ex.replicasM[v])
+			sum := 0.0
+			for _, u := range ex.g.InNeighbors(v) {
+				if d := ex.g.OutDegree(u); d > 0 {
+					sum += ex.values[u] / float64(d)
 				}
 			}
+			nv := ex.w.Damping + (1-ex.w.Damping)*sum
+			d := math.Abs(nv - ex.values[v])
+			if d > maxDelta {
+				maxDelta = d
+			}
+			if d > tol/10 {
+				updates++
+			}
+			ex.values[v] = nv
 		}
 		ex.res.PerIteration = append(ex.res.PerIteration, engine.IterStat{
 			Iteration: iters, Active: n, Updates: int(updates),
@@ -515,14 +482,7 @@ func (ex *execution) runAsync() error {
 			ex.finish(iters)
 			return allocErr
 		}
-		if ex.w.Kind == engine.PageRank {
-			if ex.w.PageRankDone(iters, maxDelta) {
-				break
-			}
-		} else if updates == 0 {
-			break
-		}
-		if ex.w.Kind == engine.KHop && iters > ex.w.K {
+		if ex.w.PageRankDone(iters, maxDelta) {
 			break
 		}
 	}

@@ -119,7 +119,7 @@ func (g *GraphLab) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt
 			cluster: c, prof: &prof, d: d, g: gr, vc: vc, w: w, opt: opt,
 			res: res,
 		}
-		if opt.Async {
+		if opt.Async && w.Kind == engine.PageRank {
 			return ex.runAsync()
 		}
 		return ex.runSync()

@@ -12,10 +12,10 @@ import (
 	"graphbench/internal/engine"
 	"graphbench/internal/graph"
 	"graphbench/internal/kernel"
+	"graphbench/internal/par"
 	"graphbench/internal/partition"
 	"graphbench/internal/rdd"
 	"graphbench/internal/sim"
-	"graphbench/internal/singlethread"
 )
 
 // Profile is GraphX's cost profile (Scala on the JVM, Spark runtime).
@@ -137,24 +137,24 @@ func (g *GraphX) chargeLoad(c *sim.Cluster, sc *rdd.Context, d *engine.Dataset, 
 // other systems) while charging each iteration as Spark stages plus
 // lineage growth.
 func (g *GraphX) pregelLoop(sc *rdd.Context, d *engine.Dataset, gr *graph.Graph, w engine.Workload, opt engine.Options, res *engine.Result) error {
-	switch w.Kind {
-	case engine.Triangle:
+	if w.Kind == engine.Triangle {
 		return g.triangleStages(sc, d, gr, opt, res)
-	case engine.LPA:
-		return g.lpaStages(sc, d, gr, w, opt, res)
 	}
 	n := gr.NumVertices()
 	dil := d.DilationFor(w.Kind)
 	work := gr
-	if w.Kind == engine.WCC {
+	switch w.Kind {
+	case engine.WCC:
 		work = gr.Undirected()
+	case engine.LPA:
+		work = gr.Simple()
 	}
 
 	lastCkpt := 0
 	values, iters, err := kernel.FullScanRounds(work, w, d.Source, func(iters int, msgs float64, changed int) error {
 		// Charge the iteration: GraphX joins the full vertex RDD and
 		// scans the full edge RDD every iteration regardless of how
-		// small the frontier is.
+		// small the frontier is or how few labels still change.
 		perStage := rdd.StageCost{
 			Records:      (float64(n) + float64(work.NumEdges())) / stagesPerIteration,
 			ShuffleBytes: (msgs*g.Profile.MsgBytes + float64(n)*8) / stagesPerIteration,
@@ -232,13 +232,12 @@ func (g *GraphX) recoverPartition(sc *rdd.Context, stages int, perStage rdd.Stag
 // stage groups over the edge RDD: orientation (degree join + filter),
 // candidate generation + closing-edge join (the quadratic shuffle), and
 // credit aggregation back onto the vertex RDD. GraphX's triplet view
-// makes the join explicit; the computation is the oracle's forward
-// algorithm.
+// makes the join explicit; the computation is the shared forward kernel,
+// run inline.
 func (g *GraphX) triangleStages(sc *rdd.Context, d *engine.Dataset, gr *graph.Graph, opt engine.Options, res *engine.Result) error {
 	o, rank := graph.ForwardOrient(gr)
 	n := o.NumVertices()
-	// The real computation is the oracle's forward kernel.
-	counts, hits64, cands64 := singlethread.ForwardCountTriangles(o, rank)
+	counts, cands64, hits64, _ := kernel.ForwardTriangles(par.New(1), o, rank, nil)
 	cands, hits := float64(cands64), float64(hits64)
 	res.Triangles = counts
 	res.Iterations = 1
@@ -275,59 +274,4 @@ func (g *GraphX) triangleStages(sc *rdd.Context, d *engine.Dataset, gr *graph.Gr
 		}
 	}
 	return sc.ExtendLineage(int64(float64(n) * d.Scale * lineageBytesPerVertexIter / float64(sc.Cluster.Size())))
-}
-
-// lpaStages runs synchronous label propagation: every round is the
-// usual Pregel-iteration stage triplet (message generation over the
-// full undirected edge RDD, aggregation, vertex join) — GraphX scans
-// everything each round regardless of how many labels still change.
-func (g *GraphX) lpaStages(sc *rdd.Context, d *engine.Dataset, gr *graph.Graph, w engine.Workload, opt engine.Options, res *engine.Result) error {
-	u := gr.Simple()
-	n := u.NumVertices()
-	msgs := float64(u.NumEdges())
-
-	iters := 0
-	lastCkpt := 0
-	labels, err := singlethread.LPAOnSimple(u, w.LPAIterations(), func(it, changed int) error {
-		iters = it
-		perStage := rdd.StageCost{
-			Records:      (float64(n) + msgs) / stagesPerIteration,
-			ShuffleBytes: (msgs*g.Profile.MsgBytes + float64(n)*8) / stagesPerIteration,
-		}
-		iterStart := sc.Cluster.Clock()
-		var stageErr error
-		for s := 0; s < stagesPerIteration; s++ {
-			if stageErr = sc.RunStage(perStage); stageErr != nil {
-				break
-			}
-		}
-		res.PerIteration = append(res.PerIteration, engine.IterStat{
-			Iteration: it, Active: n, Updates: changed,
-			Seconds: sc.Cluster.Clock() - iterStart,
-		})
-		if stageErr != nil {
-			return stageErr
-		}
-		if opt.CheckpointEvery > 0 && it%opt.CheckpointEvery == 0 {
-			stageErr = sc.Checkpoint(float64(n)*16 + float64(u.NumEdges())*12)
-			if stageErr == nil {
-				lastCkpt = it
-			}
-		} else {
-			stageErr = sc.ExtendLineage(int64(float64(n) * d.Scale * lineageBytesPerVertexIter / float64(sc.Cluster.Size())))
-		}
-		if stageErr != nil {
-			return stageErr
-		}
-		if berr := sc.Cluster.Boundary(it - 1); berr != nil {
-			if opt.Recover && sim.IsRecoverable(berr) {
-				return g.recoverPartition(sc, (it-lastCkpt)*stagesPerIteration, perStage, &res.Costs)
-			}
-			return berr
-		}
-		return nil
-	})
-	res.Iterations = iters
-	res.Labels = labels
-	return err
 }

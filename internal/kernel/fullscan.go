@@ -7,31 +7,34 @@ import (
 	"graphbench/internal/graph"
 )
 
-// FullScanRounds runs PageRank, WCC (HashMin), SSSP or K-hop the way the
-// systems without a frontier do — Hadoop's job chain, GraphX's Pregel
-// stages: every round reads every vertex and emits along every edge of
-// every reached vertex, whether or not anything changed. work is the
-// graph the rounds run over (the undirected view for WCC) and source the
-// SSSP/K-hop start vertex.
+// FullScanRounds runs PageRank, WCC (HashMin), SSSP, K-hop or LPA the
+// way the systems without a frontier do — Hadoop's job chain, GraphX's
+// Pregel stages, Vertica's join per iteration: every round reads every
+// vertex and emits along every edge of every reached vertex, whether or
+// not anything changed. work is the graph the rounds run over (the
+// undirected view for WCC, the undirected simple view for LPA) and
+// source the SSSP/K-hop start vertex.
 //
 // perRound runs after each round with the round number, the messages
-// the round emitted and how many values it changed; the engines charge
-// their jobs or stages there, and a non-nil error stops after that
-// round. Otherwise the rounds stop by the workload's own criterion:
-// PageRank's iteration cap or tolerance, K hops, or a round that changed
-// nothing. The returned values and round count reflect the rounds
-// completed.
+// the round emitted and how many values it changed (PageRank reports
+// none); the engines charge their jobs, stages or queries there, and a
+// non-nil error stops after that round. Otherwise the rounds stop by the
+// workload's own criterion: PageRank's iteration cap or tolerance, LPA's
+// round cap, a traversal round that changed nothing, or — K-hop only —
+// K rounds, whichever comes first. The returned values and round count
+// reflect the rounds completed.
 func FullScanRounds(work *graph.Graph, w engine.Workload, source graph.VertexID,
 	perRound func(iter int, msgs float64, changed int) error) (values []float64, iters int, err error) {
 
 	n := work.NumVertices()
 	values = make([]float64, n)
-	scratch := make([]float64, n) // PageRank contributions / next-round minima
+	scratch := make([]float64, n) // PageRank contributions / next-round values
+	var nbrLabels []float64       // LPA's per-vertex gather buffer
 	for v := range values {
 		switch w.Kind {
 		case engine.PageRank:
 			values[v] = 1
-		case engine.WCC:
+		case engine.WCC, engine.LPA:
 			values[v] = float64(v)
 		default:
 			values[v] = math.Inf(1)
@@ -45,30 +48,33 @@ func FullScanRounds(work *graph.Graph, w engine.Workload, source graph.VertexID,
 		iters++
 		var msgs, maxDelta float64
 		changed := 0
-		if w.Kind == engine.PageRank {
+		switch w.Kind {
+		case engine.PageRank:
 			pageRankScatter(work, values, scratch, 0, n)
 			maxDelta = pageRankGather(work, w.Damping, values, scratch, 0, n)
 			msgs = float64(work.NumEdges())
-		} else {
+		case engine.LPA:
+			changed, nbrLabels = lpaSweep(work, values, scratch, 0, n, nbrLabels)
+			values, scratch = scratch, values
+			msgs = float64(work.NumEdges())
+		default:
 			msgs, changed = minRelaxRound(work, w.Kind != engine.WCC, values, scratch)
 			values, scratch = scratch, values
 		}
 		if err := perRound(iters, msgs, changed); err != nil {
 			return values, iters, err
 		}
+		var done bool
 		switch w.Kind {
 		case engine.PageRank:
-			if w.PageRankDone(iters, maxDelta) {
-				return values, iters, nil
-			}
-		case engine.KHop:
-			if iters >= w.K {
-				return values, iters, nil
-			}
+			done = w.PageRankDone(iters, maxDelta)
+		case engine.LPA:
+			done = iters >= w.LPAIterations()
 		default:
-			if changed == 0 {
-				return values, iters, nil
-			}
+			done = changed == 0 || w.Kind == engine.KHop && iters >= w.K
+		}
+		if done {
+			return values, iters, nil
 		}
 	}
 }

@@ -2,10 +2,10 @@
 // that an engine is its cost accounting plus a choice of kernels — the
 // paper's method (§3) of keeping the algorithm uniform across systems,
 // kept as structure rather than by copying: the Jacobi PageRank round,
-// the full-scan round loop of the disk- and RDD-based systems, and the
-// sharded forward-triangle and label-propagation sweeps of the in-memory
-// ones. Kernels do the real computation and report the counts engines
-// charge for; they never touch the simulated cluster.
+// the full-scan round loop of the disk-, RDD- and table-based systems,
+// and the sharded forward-triangle and label-propagation sweeps of the
+// in-memory ones. Kernels do the real computation and report the counts
+// engines charge for; they never touch the simulated cluster.
 //
 // The sharded kernels follow the shard-merge contract of internal/par:
 // shards own disjoint vertex ranges, accumulators are integers or maxima

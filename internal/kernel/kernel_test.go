@@ -18,40 +18,59 @@ func twitter(t *testing.T) (*graph.Graph, graph.VertexID) {
 	return g, datasets.SourceVertex(g, 42)
 }
 
-func noCharge(int, float64, int) error { return nil }
+// decoded is the typed output FullScanRounds' value plane stands for.
+func decoded(k engine.Kind, values []float64) any {
+	var res engine.Result
+	res.SetOutputs(k, values)
+	switch k {
+	case engine.PageRank:
+		return res.Ranks
+	case engine.WCC, engine.LPA:
+		return res.Labels
+	}
+	return res.Dist
+}
 
 // TestFullScanRoundsMatchOracles: the round loop computes exactly what
-// the single-thread oracles compute, for every workload it serves.
+// the single-thread oracles compute, in the oracle's number of rounds
+// where it has one, for every workload it serves.
 func TestFullScanRoundsMatchOracles(t *testing.T) {
 	g, src := twitter(t)
-	var res engine.Result
+	pr, lpa := engine.NewPageRank(), engine.NewLPA()
+	ranks, prIters, _ := singlethread.PageRank(g, pr.Damping, pr.Tolerance, 0)
+	ranks3, _, _ := singlethread.PageRank(g, pr.Damping, 0, 3)
+	sssp, _ := singlethread.SSSP(g, src)
+	khop, _ := singlethread.KHop(g, src, 3)
+	u := g.Simple()
 
-	w := engine.NewPageRank()
-	values, iters, err := FullScanRounds(g, w, src, noCharge)
-	want, wantIters, _ := singlethread.PageRank(g, w.Damping, w.Tolerance, 0)
-	if err != nil || iters != wantIters || !reflect.DeepEqual(values, want) {
-		t.Errorf("pagerank: %d rounds (err %v), oracle %d; ranks equal: %v", iters, err, wantIters, reflect.DeepEqual(values, want))
-	}
-	if _, iters, _ = FullScanRounds(g, engine.NewPageRankIters(3), src, noCharge); iters != 3 {
-		t.Errorf("fixed-iteration pagerank ran %d rounds, want 3", iters)
-	}
-
-	values, _, _ = FullScanRounds(g.Undirected(), engine.NewWCC(), src, noCharge)
-	res.SetOutputs(engine.WCC, values)
-	if !reflect.DeepEqual(res.Labels, singlethread.WCCReference(g)) {
-		t.Error("wcc labels differ from the oracle")
-	}
-
-	values, _, _ = FullScanRounds(g, engine.NewSSSP(src), src, noCharge)
-	res.SetOutputs(engine.SSSP, values)
-	if dist, _ := singlethread.SSSP(g, src); !reflect.DeepEqual(res.Dist, dist) {
-		t.Error("sssp distances differ from the oracle")
-	}
-
-	values, iters, _ = FullScanRounds(g, engine.NewKHop(src), src, noCharge)
-	res.SetOutputs(engine.KHop, values)
-	if dist, _ := singlethread.KHop(g, src, 3); iters != 3 || !reflect.DeepEqual(res.Dist, dist) {
-		t.Errorf("khop: %d rounds, distances equal: %v", iters, reflect.DeepEqual(res.Dist, dist))
+	for _, tc := range []struct {
+		name   string
+		work   *graph.Graph
+		w      engine.Workload
+		rounds int // 0: as many as convergence takes
+		want   any
+	}{
+		{"pagerank", g, pr, prIters, ranks},
+		{"pagerank-3", g, engine.NewPageRankIters(3), 3, ranks3},
+		{"wcc", g.Undirected(), engine.NewWCC(), 0, singlethread.WCCReference(g)},
+		{"sssp", g, engine.NewSSSP(src), 0, sssp},
+		{"khop", g, engine.NewKHop(src), 3, khop},
+		{"lpa", u, lpa, lpa.LPAIterations(), singlethread.LPAOnSimple(u, lpa.LPAIterations())},
+	} {
+		var lastMsgs float64
+		values, iters, err := FullScanRounds(tc.work, tc.w, src, func(_ int, msgs float64, _ int) error {
+			lastMsgs = msgs
+			return nil
+		})
+		if err != nil || (tc.rounds > 0 && iters != tc.rounds) {
+			t.Errorf("%s: %d rounds (err %v), want %d", tc.name, iters, err, tc.rounds)
+		}
+		if tc.w.Kind == engine.LPA && lastMsgs != float64(u.NumEdges()) {
+			t.Errorf("lpa: a round reported %v messages, the view has %d edges", lastMsgs, u.NumEdges())
+		}
+		if !reflect.DeepEqual(decoded(tc.w.Kind, values), tc.want) {
+			t.Errorf("%s: output differs from the oracle", tc.name)
+		}
 	}
 }
 
@@ -59,20 +78,32 @@ func TestFullScanRoundsMatchOracles(t *testing.T) {
 // after that round, with the values of the rounds completed.
 func TestFullScanRoundsStopOnChargeError(t *testing.T) {
 	g, src := twitter(t)
+	twoHops, _ := singlethread.KHop(g, src, 2)
+	u := g.Simple()
 	boom := errors.New("boom")
-	var msgs float64
-	values, iters, err := FullScanRounds(g, engine.NewSSSP(src), src, func(iter int, m float64, changed int) error {
-		msgs = m
-		if iter == 2 {
-			return boom
+	for _, tc := range []struct {
+		work *graph.Graph
+		w    engine.Workload
+		want any // the oracle's output after two rounds
+	}{
+		{g, engine.NewSSSP(src), twoHops},
+		{u, engine.NewLPA(), singlethread.LPAOnSimple(u, 2)},
+	} {
+		var msgs float64
+		values, iters, err := FullScanRounds(tc.work, tc.w, src, func(iter int, m float64, changed int) error {
+			msgs = m
+			if iter == 2 {
+				return boom
+			}
+			return nil
+		})
+		if err != boom || iters != 2 {
+			t.Fatalf("%s: stopped after %d rounds with %v, want 2 rounds and the charge error", tc.w.Kind, iters, err)
 		}
-		return nil
-	})
-	if err != boom || iters != 2 {
-		t.Fatalf("stopped after %d rounds with %v, want 2 rounds and the charge error", iters, err)
-	}
-	if msgs <= 0 || values[src] != 0 {
-		t.Errorf("round 2 reported %v messages, source distance %v", msgs, values[src])
+		if msgs <= 0 || !reflect.DeepEqual(decoded(tc.w.Kind, values), tc.want) {
+			t.Errorf("%s: round 2 reported %v messages; values equal the oracle's after two rounds: %v",
+				tc.w.Kind, msgs, reflect.DeepEqual(decoded(tc.w.Kind, values), tc.want))
+		}
 	}
 }
 
@@ -83,7 +114,7 @@ func TestShardedKernelsBitIdentical(t *testing.T) {
 	o, rank := graph.ForwardOrient(g)
 	wantCounts, wantHits, wantCands := singlethread.ForwardCountTriangles(o, rank)
 	u := g.Simple()
-	wantLabels, _ := singlethread.LPAOnSimple(u, 4, nil)
+	wantLabels := singlethread.LPAOnSimple(u, 4)
 	wantRanks, _, _ := singlethread.PageRank(g, 0.15, 0, 5)
 	foreign := func(u, prober graph.VertexID) bool { return u%2 != prober%2 }
 	var wantShips int64

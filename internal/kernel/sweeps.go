@@ -69,14 +69,35 @@ func ForwardTriangles(pool *par.Pool, o *graph.Graph, rank []int32,
 	return counts, cands, hits, ships
 }
 
+// lpaSweep is one label-propagation round over the vertices in
+// [lo, hi) of an undirected simple view: every vertex adopts the most
+// frequent label among its neighbors in labels, ties broken toward the
+// largest (singlethread.ModeMaxLabel), isolated vertices keep theirs.
+// next receives the new labels; buf is the gather buffer, returned for
+// reuse. The sweep reports how many labels changed.
+func lpaSweep(u *graph.Graph, labels, next []float64, lo, hi int, buf []float64) (int, []float64) {
+	changed := 0
+	for v := lo; v < hi; v++ {
+		buf = buf[:0]
+		for _, w := range u.OutNeighbors(graph.VertexID(v)) {
+			buf = append(buf, labels[w])
+		}
+		slices.Sort(buf)
+		next[v] = singlethread.ModeMaxLabel(buf, labels[v])
+		if next[v] != labels[v] {
+			changed++
+		}
+	}
+	return changed, buf
+}
+
 // LPARounds runs synchronous label propagation over an undirected
 // simple view (see graph.Graph.Simple), sharded on the pool: labels
-// start at the vertex id and each round every vertex adopts the most
-// frequent label among its neighbors in the previous round, ties broken
-// toward the largest (singlethread.ModeMaxLabel). perRound runs after
-// each round with the round number and the number of labels that
-// changed; a non-nil error stops after that round. The returned labels
-// are the raw values of the last completed round.
+// start at the vertex id and each round is an lpaSweep of the previous
+// round's labels. perRound runs after each round with the round number
+// and the number of labels that changed; a non-nil error stops after
+// that round. The returned labels are the raw values of the last
+// completed round.
 //
 // Shards are cut by the view's degrees (label gathering is edge work)
 // and each round reads only the previous round's labels, so the labels
@@ -94,22 +115,7 @@ func LPARounds(pool *par.Pool, u *graph.Graph, rounds int, perRound func(it, upd
 	updates := make([]int, pl.Count())
 	roundFn := func(i int) {
 		s := pl.Shard(i)
-		upd := 0
-		buf := scratch[i]
-		for v := s.Lo; v < s.Hi; v++ {
-			buf = buf[:0]
-			for _, w := range u.OutNeighbors(graph.VertexID(v)) {
-				buf = append(buf, labels[w])
-			}
-			slices.Sort(buf)
-			nv := singlethread.ModeMaxLabel(buf, labels[v])
-			if nv != labels[v] {
-				upd++
-			}
-			next[v] = nv
-		}
-		scratch[i] = buf
-		updates[i] = upd
+		updates[i], scratch[i] = lpaSweep(u, labels, next, s.Lo, s.Hi, scratch[i])
 	}
 	for it := 1; it <= rounds; it++ {
 		pool.ForEach(pl.Count(), roundFn)

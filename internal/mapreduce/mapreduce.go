@@ -17,8 +17,8 @@ import (
 	"graphbench/internal/engine"
 	"graphbench/internal/graph"
 	"graphbench/internal/kernel"
+	"graphbench/internal/par"
 	"graphbench/internal/sim"
-	"graphbench/internal/singlethread"
 )
 
 // Profile is Hadoop's cost profile: 4 mappers / 2 reducers per machine,
@@ -176,25 +176,21 @@ func (h *Hadoop) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt e
 }
 
 // iterate drives the per-workload job chains. All workloads do real
-// computation over the decoded graph; each iteration is charged as a
+// computation over the prepared graph; each iteration is charged as a
 // full MapReduce job.
 func (h *Hadoop) iterate(c *sim.Cluster, d *engine.Dataset, gr *graph.Graph, w engine.Workload, res *engine.Result, jr *jobRunner) error {
-	switch w.Kind {
-	case engine.Triangle:
-		return h.triangles(c, d, gr, res, jr)
-	case engine.LPA:
-		return h.lpa(c, d, gr, w, res, jr)
+	if w.Kind == engine.Triangle {
+		return h.triangles(d, gr, res, jr)
 	}
 	n := gr.NumVertices()
 	adjBytes := float64(d.FileBytes(graph.FormatAdj))
 	stateBytes := float64(n) * d.Scale * 16
 	dil := d.DilationFor(w.Kind)
 
-	// The WCC chain starts with a reverse-edge job: map emits both
-	// directions, reduce materializes the undirected adjacency.
+	// The WCC and LPA chains start with a reverse-edge job: map emits
+	// both directions, reduce materializes the undirected adjacency.
 	work := gr
-	if w.Kind == engine.WCC {
-		work = gr.Undirected()
+	if w.Kind == engine.WCC || w.Kind == engine.LPA {
 		if err := jr.run(jobCost{
 			inputBytes:   adjBytes,
 			mapRecords:   (float64(n) + float64(gr.NumEdges())) * d.Scale,
@@ -206,10 +202,15 @@ func (h *Hadoop) iterate(c *sim.Cluster, d *engine.Dataset, gr *graph.Graph, w e
 			return err
 		}
 		adjBytes *= 2
+		if w.Kind == engine.WCC {
+			work = gr.Undirected()
+		} else {
+			work = gr.Simple()
+		}
 	}
 
-	// Hadoop scans every record whether or not it changed — the frontier
-	// does not shrink the job.
+	// Hadoop scans and shuffles every record whether or not it changed —
+	// the frontier does not shrink the job.
 	values, iters, err := kernel.FullScanRounds(work, w, d.Source, func(iters int, msgs float64, changed int) error {
 		res.PerIteration = append(res.PerIteration, engine.IterStat{Iteration: iters, Active: n, Updates: changed})
 
@@ -221,11 +222,14 @@ func (h *Hadoop) iterate(c *sim.Cluster, d *engine.Dataset, gr *graph.Graph, w e
 				Detail: "mapper output deleted before reducers consumed it"}
 		}
 
+		// One record per vertex plus one per message, into the mappers
+		// and out of the shuffle.
+		records := float64(n)*d.Scale + msgs*d.Scale
 		jc := jobCost{
 			inputBytes:   adjBytes + stateBytes,
-			mapRecords:   float64(n)*d.Scale + msgs*d.Scale,
+			mapRecords:   records,
 			interBytes:   msgs*d.Scale*h.Profile.MsgBytes + adjBytes, // messages + structure pass-through
-			interRecords: msgs*d.Scale + float64(n)*d.Scale,
+			interRecords: records,
 			reduceOut:    adjBytes + stateBytes,
 			dilation:     dil,
 		}
@@ -256,16 +260,15 @@ func (h *Hadoop) iterate(c *sim.Cluster, d *engine.Dataset, gr *graph.Graph, w e
 // adjacency), join (map emits each vertex's forward-neighbor pairs —
 // the quadratic shuffle — and reduce probes the closing edges), and
 // credit aggregation (map emits three credits per triangle, reduce sums
-// per vertex). The computation itself is the oracle's forward algorithm.
-func (h *Hadoop) triangles(c *sim.Cluster, d *engine.Dataset, gr *graph.Graph, res *engine.Result, jr *jobRunner) error {
+// per vertex). The computation is the shared forward kernel, run inline.
+func (h *Hadoop) triangles(d *engine.Dataset, gr *graph.Graph, res *engine.Result, jr *jobRunner) error {
 	adjBytes := float64(d.FileBytes(graph.FormatAdj))
 	o, rank := graph.ForwardOrient(gr)
 	n := o.NumVertices()
 	oe := float64(o.NumEdges())
 	stateBytes := float64(n) * d.Scale * 16
 
-	// The real computation is the oracle's forward kernel.
-	counts, hits64, cands64 := singlethread.ForwardCountTriangles(o, rank)
+	counts, cands64, hits64, _ := kernel.ForwardTriangles(par.New(1), o, rank, nil)
 	cands, hits := float64(cands64), float64(hits64)
 	res.Triangles = counts
 	res.Iterations = 3
@@ -302,61 +305,4 @@ func (h *Hadoop) triangles(c *sim.Cluster, d *engine.Dataset, gr *graph.Graph, r
 		}
 	}
 	return nil
-}
-
-// lpa runs synchronous label propagation: a symmetrize job builds the
-// undirected simple adjacency, then one full map/shuffle/reduce job per
-// round ships every neighbor label to its destination and reduces with
-// the most-frequent / max-tie-break rule. Hadoop scans and shuffles the
-// whole graph every round, cap or no cap — and on large clusters the
-// HaLoop shuffle bug kills the multi-round chain just as it does the
-// traversals (§5.10).
-func (h *Hadoop) lpa(c *sim.Cluster, d *engine.Dataset, gr *graph.Graph, w engine.Workload, res *engine.Result, jr *jobRunner) error {
-	adjBytes := float64(d.FileBytes(graph.FormatAdj))
-	u := gr.Simple()
-	n := u.NumVertices()
-	stateBytes := float64(n) * d.Scale * 16
-
-	// Symmetrize job, like the WCC chain's reverse-edge job.
-	if err := jr.run(jobCost{
-		inputBytes:   adjBytes,
-		mapRecords:   (float64(n) + float64(gr.NumEdges())) * d.Scale,
-		interBytes:   2 * float64(gr.NumEdges()) * d.Scale * h.Profile.MsgBytes,
-		interRecords: 2 * float64(gr.NumEdges()) * d.Scale,
-		reduceOut:    2 * adjBytes,
-		dilation:     1,
-	}); err != nil {
-		return err
-	}
-	undBytes := 2 * adjBytes
-
-	msgs := float64(u.NumEdges())
-	iters := 0
-	labels, err := singlethread.LPAOnSimple(u, w.LPAIterations(), func(it, changed int) error {
-		iters = it
-		res.PerIteration = append(res.PerIteration, engine.IterStat{Iteration: it, Active: n, Updates: changed})
-
-		if h.ShuffleBugAt > 0 && c.Size() >= 64 && it >= h.ShuffleBugAt {
-			return &sim.Failure{Status: sim.SHFL,
-				Detail: "mapper output deleted before reducers consumed it"}
-		}
-
-		jc := jobCost{
-			inputBytes:   undBytes + stateBytes,
-			mapRecords:   (float64(n) + msgs) * d.Scale,
-			interBytes:   msgs*d.Scale*h.Profile.MsgBytes + undBytes,
-			interRecords: (msgs + float64(n)) * d.Scale,
-			reduceOut:    undBytes + stateBytes,
-			dilation:     1,
-		}
-		if h.InvariantCache && it > 1 {
-			jc.inputBytes = stateBytes + undBytes*0.6
-			jc.interBytes = msgs * d.Scale * h.Profile.MsgBytes
-			jc.reduceOut = stateBytes + undBytes*0.3
-		}
-		return jr.run(jc)
-	})
-	res.Iterations = iters
-	res.Labels = labels
-	return err
 }

@@ -1,10 +1,30 @@
+// Package relational implements the Vertica approach of §2.6: graphs as
+// edge and vertex tables in a shared-nothing columnar store, workloads
+// as iterated join + aggregate queries, with the paper's two
+// optimizations — replacing the vertex table wholesale instead of
+// updating in place (sequential instead of random I/O), and keeping
+// traversal frontiers in an active-vertex temporary table.
+//
+// The values an iteration's query would produce come from the kernels
+// every full-scan system shares (internal/kernel); this package is the
+// cost of producing them relationally. Costs are charged per operator:
+// projection scans from disk (Vertica's I/O wait, Figure 13a) and the
+// vectorized join/aggregate CPU over the scanned rows, re-segmentation
+// shuffles for joins and group-bys (Figure 13c: network grows with the
+// cluster) over the build side's rows — every edge row for PageRank and
+// LPA, the active-vertex rows for traversals —, the replaced vertex
+// table's write, and temp-table create/swap catalog work per iteration
+// — the overheads behind §5.11's finding that Vertica is not
+// competitive and falls further behind as the cluster grows. Only the
+// triangle query keeps its own executor (TriangleSelfJoin): its e1⋈e2
+// intermediate is a different plan's cost than the forward kernel's
+// candidate pairs.
 package relational
 
 import (
-	"math"
-
 	"graphbench/internal/engine"
 	"graphbench/internal/graph"
+	"graphbench/internal/kernel"
 	"graphbench/internal/sim"
 )
 
@@ -68,20 +88,7 @@ func (e *Vertica) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt 
 			NetRecvBytes:   edgeBytes / float64(m),
 		})
 	})
-	res.Timed(c, &res.Exec, func() error {
-		// Build the edge table (real columns).
-		if w.Kind == engine.WCC {
-			work = work.Undirected()
-		}
-		src := make(Column, 0, work.NumEdges())
-		dst := make(Column, 0, work.NumEdges())
-		work.Edges(func(s, t graph.VertexID) bool {
-			src = append(src, float64(s))
-			dst = append(dst, float64(t))
-			return true
-		})
-		return e.iterate(c, d, work, src, dst, w, res)
-	})
+	res.Timed(c, &res.Exec, func() error { return e.iterate(c, d, w, res) })
 	// Save: the final vertex table is already a table; export it.
 	res.Timed(c, &res.Save, func() error {
 		outBytes := float64(work.NumVertices()) * d.Scale * vertexRowBytes
@@ -113,51 +120,16 @@ func (e *Vertica) chargeIteration(c *sim.Cluster, d *engine.Dataset, scanRows, s
 	return c.Advance((tempTableFixed + tempTablePerMachine*m) * dil)
 }
 
-func (e *Vertica) iterate(c *sim.Cluster, d *engine.Dataset, work *graph.Graph,
-	src, dst Column, w engine.Workload, res *engine.Result) error {
-
+// iterate runs the workload as iterated join + aggregate queries: the
+// values come from the shared kernels, and every iteration is charged as
+// one query over the edge projection.
+func (e *Vertica) iterate(c *sim.Cluster, d *engine.Dataset, w engine.Workload, res *engine.Result) error {
+	work := d.Graph
 	n := work.NumVertices()
+	eRows := float64(work.NumEdges())
 	dil := d.DilationFor(w.Kind)
-	eRows := float64(len(src))
 
 	switch w.Kind {
-	case engine.PageRank:
-		ranks := make(Column, n)
-		weight := make(Column, n)
-		for v := 0; v < n; v++ {
-			ranks[v] = 1
-			weight[v] = float64(work.OutDegree(graph.VertexID(v)))
-		}
-		iters := 0
-		for {
-			iters++
-			sums := JoinSumByDst(src, dst, ranks, weight, n)
-			maxDelta := 0.0
-			for v := range sums {
-				nv := w.Damping + (1-w.Damping)*sums[v]
-				if dd := math.Abs(nv - ranks[v]); dd > maxDelta {
-					maxDelta = dd
-				}
-				sums[v] = nv
-			}
-			ranks = sums // CREATE TABLE new AS ... ; swap (§2.6)
-			res.PerIteration = append(res.PerIteration, engine.IterStat{Iteration: iters, Active: n})
-			// Shuffle: contributions re-segmented by dst, aggregates
-			// re-joined with the vertex table, and the new table
-			// distributed — roughly 2.5 row-movements per edge row.
-			if err := e.chargeIteration(c, d, eRows, eRows*2.5, float64(n), 1); err != nil {
-				res.Iterations = iters
-				res.Ranks = ranks
-				return err
-			}
-			if w.PageRankDone(iters, maxDelta) {
-				break
-			}
-		}
-		res.Iterations = iters
-		res.Ranks = ranks
-		return nil
-
 	case engine.Triangle:
 		// CREATE TABLE oriented AS SELECT ... : a degree aggregate joined
 		// back onto the edge table, filtered to the forward direction.
@@ -175,109 +147,73 @@ func (e *Vertica) iterate(c *sim.Cluster, d *engine.Dataset, work *graph.Graph,
 		// the e1⋈e2 intermediate re-segmented by its probe key, and the
 		// credit aggregate written back to the vertex table.
 		return e.chargeIteration(c, d, 2*oRows+float64(joinRows), 2*float64(joinRows), float64(n), 1)
-
+	case engine.WCC:
+		work = work.Undirected()
 	case engine.LPA:
-		u := work.Simple()
-		usrc := make(Column, 0, u.NumEdges())
-		udst := make(Column, 0, u.NumEdges())
-		u.Edges(func(s, t graph.VertexID) bool {
-			usrc = append(usrc, float64(s))
-			udst = append(udst, float64(t))
-			return true
-		})
-		uRows := float64(len(usrc))
-		labels := make(Column, n)
-		for v := range labels {
-			labels[v] = float64(v)
-		}
-		rounds := w.LPAIterations()
-		finish := func(iters int) {
-			res.Iterations = iters
-			res.SetOutputs(engine.LPA, labels)
-		}
 		// Symmetrize: CREATE TABLE und AS SELECT both directions.
+		work = work.Simple()
+		uRows := float64(work.NumEdges())
 		if err := e.chargeIteration(c, d, eRows, uRows, uRows/2, 1); err != nil {
-			finish(0)
 			return err
 		}
-		for it := 1; it <= rounds; it++ {
-			next := JoinModeByDst(usrc, udst, labels, labels, n)
-			changed := 0
-			for v := range next {
-				if next[v] != labels[v] {
-					changed++
-				}
-			}
-			labels = next // CREATE TABLE new AS ... ; swap (§2.6)
-			res.PerIteration = append(res.PerIteration, engine.IterStat{Iteration: it, Active: n, Updates: changed})
-			if err := e.chargeIteration(c, d, uRows, uRows*2.5, float64(n), 1); err != nil {
-				finish(it)
-				return err
-			}
-		}
-		finish(rounds)
-		return nil
-
-	default:
-		// Traversals: the active-vertex temp table optimization. The
-		// join still scans the full edge projection; only the build
-		// side shrinks.
-		vals := make(Column, n)
-		for v := range vals {
-			vals[v] = math.Inf(1)
-		}
-		delta := 1.0
-		if w.Kind == engine.WCC {
-			delta = 0
-			for v := range vals {
-				vals[v] = float64(v)
-			}
-		} else {
-			vals[d.Source] = 0
-		}
-		active := make([]bool, n)
-		if w.Kind == engine.WCC {
-			for v := range active {
-				active[v] = true
-			}
-		} else {
-			active[d.Source] = true
-		}
-
-		iters := 0
-		var err error
-		for {
-			iters++
-			mins := JoinMinByDst(src, dst, vals, active, delta, math.Inf(1), n)
-			activeRows := 0.0
-			for v := range active {
-				if active[v] {
-					activeRows++
-				}
-			}
-			changed := 0
-			nextActive := make([]bool, n)
-			for v := range mins {
-				if mins[v] < vals[v] {
-					vals[v] = mins[v]
-					nextActive[v] = true
-					changed++
-				}
-			}
-			active = nextActive
-			res.PerIteration = append(res.PerIteration, engine.IterStat{Iteration: iters, Active: int(activeRows), Updates: changed})
-			if err = e.chargeIteration(c, d, eRows, activeRows*4, float64(changed), dil); err != nil {
-				break
-			}
-			if changed == 0 {
-				break
-			}
-			if w.Kind == engine.KHop && iters >= w.K {
-				break
-			}
-		}
-		res.Iterations = d.DilatedIterations(w.Kind, iters)
-		res.SetOutputs(w.Kind, vals)
-		return err
 	}
+	rows := float64(work.NumEdges())
+
+	// Traversals keep their frontier in an active-vertex temporary table:
+	// the rows the previous iteration changed (every vertex for WCC's
+	// first, the source row for SSSP and K-hop). The join still scans
+	// the full edge projection; only the build side shrinks.
+	active := 1
+	if w.Kind == engine.WCC {
+		active = n
+	}
+	values, iters, err := kernel.FullScanRounds(work, w, d.Source, func(iter int, _ float64, changed int) error {
+		if w.Kind == engine.PageRank || w.Kind == engine.LPA {
+			// Every vertex joins and the vertex table is replaced
+			// wholesale (CREATE TABLE new AS ...; swap, §2.6).
+			// Shuffle: contributions re-segmented by dst, aggregates
+			// re-joined with the vertex table, and the new table
+			// distributed — roughly 2.5 row-movements per edge row.
+			res.PerIteration = append(res.PerIteration, engine.IterStat{Iteration: iter, Active: n, Updates: changed})
+			return e.chargeIteration(c, d, rows, rows*2.5, float64(n), dil)
+		}
+		res.PerIteration = append(res.PerIteration, engine.IterStat{Iteration: iter, Active: active, Updates: changed})
+		err := e.chargeIteration(c, d, rows, float64(active)*4, float64(changed), dil)
+		active = changed
+		return err
+	})
+	res.Iterations = d.DilatedIterations(w.Kind, iters)
+	res.SetOutputs(w.Kind, values)
+	return err
+}
+
+// TriangleSelfJoin evaluates the canonical triangle query as a
+// three-way self-join over the forward-oriented edge projection:
+//
+//	SELECT e1.src, e1.dst, e2.dst
+//	FROM oriented e1
+//	JOIN oriented e2 ON e2.src = e1.dst
+//	JOIN oriented e3 ON e3.src = e1.src AND e3.dst = e2.dst
+//
+// Each match is one triangle (discovered exactly once thanks to the
+// degree-ordered orientation) credited to all three corners, so the
+// returned counts are per-vertex incident-triangle counts. joinRows is
+// the e1⋈e2 intermediate cardinality — the rows probed against e3 and
+// the dominant cost of the plan.
+func TriangleSelfJoin(o *graph.Graph) (counts []int64, joinRows int64) {
+	n := o.NumVertices()
+	counts = make([]int64, n)
+	for u := 0; u < n; u++ {
+		for _, v := range o.OutNeighbors(graph.VertexID(u)) {
+			for _, w := range o.OutNeighbors(v) {
+				joinRows++
+				if o.HasEdge(graph.VertexID(u), w) {
+					counts[u]++
+					counts[v]++
+					counts[w]++
+				}
+			}
+		}
+	}
+	return counts, joinRows
 }

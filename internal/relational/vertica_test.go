@@ -15,38 +15,6 @@ func TestAllWorkloadsCorrect(t *testing.T) {
 	enginetest.VerifyAllWorkloads(t, New(), f, 16, 1e-9, engine.Options{})
 }
 
-func TestJoinOperators(t *testing.T) {
-	// Tiny SQL sanity: edges (0->1, 0->2, 1->2), ranks 1 each,
-	// outdeg 2,1,0.
-	src := Column{0, 0, 1}
-	dst := Column{1, 2, 2}
-	val := Column{1, 1, 1}
-	weight := Column{2, 1, 0}
-	sums := JoinSumByDst(src, dst, val, weight, 3)
-	if sums[0] != 0 || sums[1] != 0.5 || sums[2] != 1.5 {
-		t.Fatalf("JoinSumByDst = %v", sums)
-	}
-	active := []bool{true, false, false}
-	mins := JoinMinByDst(src, dst, Column{0, 9, 9}, active, 1, 99, 3)
-	if mins[1] != 1 || mins[2] != 1 || mins[0] != 99 {
-		t.Fatalf("JoinMinByDst = %v", mins)
-	}
-}
-
-func TestTableBasics(t *testing.T) {
-	cols := []string{"id", "rank"}
-	tb := NewTable("v", cols...)
-	tb.Append(cols, 0, 1.0)
-	tb.Append(cols, 1, 2.0)
-	if tb.N != 2 || tb.Col("rank")[1] != 2.0 {
-		t.Fatalf("table = %+v", tb)
-	}
-	tb.SetCol("rank", Column{3, 4})
-	if tb.Col("rank")[0] != 3 {
-		t.Fatal("SetCol failed")
-	}
-}
-
 func TestSmallMemoryLargeIO(t *testing.T) {
 	// Figure 13: Vertica's footprint is small, but I/O wait and
 	// network dominate versus a native graph system.

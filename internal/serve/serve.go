@@ -474,7 +474,7 @@ func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, kind engine.
 			writeError(w, http.StatusBadRequest, "unknown system %q", sysKey)
 			return q, false
 		}
-		if sys.PageRankOnly && kind != engine.PageRank {
+		if !sys.Runs(kind) {
 			writeError(w, http.StatusBadRequest,
 				"system %q is a PageRank-only variant and cannot run %s", sysKey, kind)
 			return q, false

@@ -225,6 +225,7 @@ func TestServerQueriesAllWorkloads(t *testing.T) {
 		ts.URL + "/v1/sssp?vertex=3",
 		ts.URL + "/v1/triangle",
 		ts.URL + "/v1/lpa?vertex=3",
+		ts.URL + "/v1/sssp?vertex=3&system=vertica", // listed by -list, outside the registry
 	}
 	for _, url := range urls {
 		code, hdr, cold := get(t, url)

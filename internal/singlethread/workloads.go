@@ -11,9 +11,7 @@ import (
 // and every pair of its forward neighbors, probe the oriented closing
 // edge. Each triangle a≺b≺c is discovered exactly once (at u=a) and
 // credited to all three corners. cands is the number of candidate pairs
-// probed — the message volume of the distributed implementations. The
-// serial engines (Hadoop job chains, GraphX stages) share this kernel
-// with the oracle so the counts cannot diverge.
+// probed — the message volume of the distributed implementations.
 func ForwardCountTriangles(o *graph.Graph, rank []int32) (counts []int64, total, cands int64) {
 	n := o.NumVertices()
 	counts = make([]int64, n)
@@ -103,15 +101,11 @@ func ModeMaxLabel(sorted []float64, keep float64) float64 {
 // an undirected simple view (see graph.Graph.Simple): labels start at
 // the vertex id; each round every vertex adopts the most frequent label
 // among its neighbors (from the previous round), ties broken toward the
-// largest label; isolated vertices keep their label. perRound, when
-// non-nil, runs after each round with the round number and the number
-// of labels that changed — the serial engines hang their per-round cost
-// charging there; a non-nil error stops after that round. The returned
-// labeling reflects the rounds completed and is canonicalized to the
-// smallest member id per community, which is what makes the output a
-// valid partition (every label is a member vertex's id) and comparable
-// bit-for-bit across engines.
-func LPAOnSimple(u *graph.Graph, rounds int, perRound func(it, changed int) error) ([]graph.VertexID, error) {
+// largest label; isolated vertices keep their label. The returned
+// labeling is canonicalized to the smallest member id per community,
+// which is what makes the output a valid partition (every label is a
+// member vertex's id) and comparable bit-for-bit across engines.
+func LPAOnSimple(u *graph.Graph, rounds int) []graph.VertexID {
 	n := u.NumVertices()
 	cur := make([]float64, n)
 	next := make([]float64, n)
@@ -119,42 +113,29 @@ func LPAOnSimple(u *graph.Graph, rounds int, perRound func(it, changed int) erro
 		cur[v] = float64(v)
 	}
 	var scratch []float64
-	canonical := func() []graph.VertexID {
-		raw := make([]graph.VertexID, n)
-		for v := range raw {
-			raw[v] = graph.VertexID(cur[v])
-		}
-		return graph.CanonicalizeLabels(raw)
-	}
 	for it := 1; it <= rounds; it++ {
-		changed := 0
 		for v := 0; v < n; v++ {
-			nbrs := u.OutNeighbors(graph.VertexID(v))
 			scratch = scratch[:0]
-			for _, w := range nbrs {
+			for _, w := range u.OutNeighbors(graph.VertexID(v)) {
 				scratch = append(scratch, cur[w])
 			}
 			slices.Sort(scratch)
 			next[v] = ModeMaxLabel(scratch, cur[v])
-			if next[v] != cur[v] {
-				changed++
-			}
 		}
 		cur, next = next, cur
-		if perRound != nil {
-			if err := perRound(it, changed); err != nil {
-				return canonical(), err
-			}
-		}
 	}
-	return canonical(), nil
+	raw := make([]graph.VertexID, n)
+	for v := range raw {
+		raw[v] = graph.VertexID(cur[v])
+	}
+	return graph.CanonicalizeLabels(raw)
 }
 
 // LabelPropagation runs the synchronous label-propagation oracle for
 // iters rounds over g's undirected simple view.
 func LabelPropagation(g *graph.Graph, iters int) (labels []graph.VertexID, c Counters) {
 	u := g.Simple()
-	labels, _ = LPAOnSimple(u, iters, nil)
+	labels = LPAOnSimple(u, iters)
 	c.VertexOps = float64(u.NumVertices() * iters)
 	c.EdgeOps = float64(u.NumEdges() * iters)
 	return labels, c
