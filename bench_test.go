@@ -444,6 +444,41 @@ func BenchmarkTraversal(b *testing.B) {
 	})
 }
 
+// BenchmarkDerivedViews tracks what building a fixture's derived views
+// costs on the message-plane fixture: the undirected view and the GVD
+// block structure a dataset builds once (engine.View), and the self-edge
+// strip every GraphLab run still pays. Each is O(V+E) with a fixed
+// handful of allocations; with -benchmem the B/op and allocs/op rows
+// keep them from growing back into Builder passes.
+func BenchmarkDerivedViews(b *testing.B) {
+	g := messagePlaneGraph()
+	u := g.Undirected()
+	b.Run("Undirected", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if g.Undirected().NumEdges() != u.NumEdges() {
+				b.Fatal("undirected views differ")
+			}
+		}
+	})
+	b.Run("WithoutSelfEdges", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if g.WithoutSelfEdges().SelfEdges() != 0 {
+				b.Fatal("self-edges left")
+			}
+		}
+	})
+	b.Run("GVDBlocks", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if partition.BuildBlocks(g, u, 11, partition.VoronoiOptions{}).NumBlocks == 0 {
+				b.Fatal("no blocks")
+			}
+		}
+	})
+}
+
 // BenchmarkParallelSpeedup measures the parallel execution subsystem at
 // both of its layers.
 //

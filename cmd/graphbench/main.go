@@ -181,6 +181,10 @@ func runOne(r *core.Runner, sysKey, dataset, workload string, machines int, logP
 		fmt.Fprintf(os.Stderr, "graphbench: system %q is a PageRank-only variant and cannot run %s\n", sysKey, kind)
 		os.Exit(2)
 	}
+	if !sys.RunsOn(machines) {
+		fmt.Fprintf(os.Stderr, "graphbench: system %q runs on at most %d machines, got %d\n", sysKey, sys.MaxMachines, machines)
+		os.Exit(2)
+	}
 	res := r.Run(sys, datasets.Name(dataset), kind, machines)
 	printResult(sys.Label, res, workload, dataset, machines)
 	writeLog(logPath, []*engine.Result{res})

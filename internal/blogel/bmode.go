@@ -46,7 +46,13 @@ func (e *BEngine) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt 
 			return &sim.Failure{Status: sim.MPI,
 				Detail: "integer overflow aggregating GVD block assignments at the master"}
 		}
-		vor = partition.BuildVoronoi(gr, m, 11, partition.VoronoiOptions{})
+		// The blocks are a function of the fixture alone (keyed by the
+		// GVD options they were grown with); only their packing onto m
+		// machines is this run's.
+		gvd := partition.VoronoiOptions{}
+		vor = engine.View(d, gvd, 0, func() *partition.Voronoi {
+			return partition.BuildBlocks(gr, d.Undirected(), 11, gvd)
+		}).Pack(m)
 		return e.chargeVoronoi(c, d, gr, vor, opt)
 	})
 	// Execute block-centric computation. The persistent pool lives for

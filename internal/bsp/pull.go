@@ -294,9 +294,6 @@ func (rt *runtime) buildSumKernel() {
 				tag := int32(v)
 				nslots := int32(0)
 				for _, u := range g.InNeighbors(graph.VertexID(v)) {
-					if g.OutDegree(u) == 0 {
-						continue
-					}
 					m := rt.owner[u]
 					if ss.pullStamp[m] != tag {
 						ss.pullStamp[m] = tag
@@ -312,9 +309,6 @@ func (rt *runtime) buildSumKernel() {
 				}
 			} else {
 				for _, u := range g.InNeighbors(graph.VertexID(v)) {
-					if g.OutDegree(u) == 0 {
-						continue
-					}
 					sum += rt.fvals[u]
 				}
 			}

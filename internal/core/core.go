@@ -24,6 +24,7 @@ import (
 	"graphbench/internal/hdfs"
 	"graphbench/internal/mapreduce"
 	"graphbench/internal/par"
+	"graphbench/internal/partition"
 	"graphbench/internal/plan"
 	"graphbench/internal/pregel"
 	"graphbench/internal/relational"
@@ -48,6 +49,11 @@ type System struct {
 	// PageRankOnly marks variants the paper only evaluates on PageRank
 	// (the asynchronous and tolerance/iteration GraphLab variants).
 	PageRankOnly bool
+
+	// MaxMachines, when positive, is the largest cluster the system
+	// runs on: GraphLab and GraphX place edges by vertex cut, which is
+	// built for at most partition.MaxVertexCutMachines.
+	MaxMachines int
 }
 
 func fixedIters(n int) func(engine.Workload) engine.Workload {
@@ -65,25 +71,26 @@ func fixedIters(n int) func(engine.Workload) engine.Workload {
 // partitioning × (T/I) stopping.
 func Systems() []System {
 	newGelly := func() engine.Engine { return dataflow.New() }
+	const vcMax = partition.MaxVertexCutMachines
 	return []System{
 		{Key: "blogel-b", Label: "BB", New: func() engine.Engine { return blogel.NewB() }},
 		{Key: "blogel-v", Label: "BV", New: func() engine.Engine { return blogel.NewV() }},
 		{Key: "giraph", Label: "G", New: func() engine.Engine { return pregel.New() }},
 		{Key: "gl-a-a-t", Label: "GL-A-A-T", New: func() engine.Engine { return gas.New() },
-			Opt: engine.Options{Async: true, Partitioning: "auto"}, PageRankOnly: true},
+			Opt: engine.Options{Async: true, Partitioning: "auto"}, PageRankOnly: true, MaxMachines: vcMax},
 		{Key: "gl-a-r-t", Label: "GL-A-R-T", New: func() engine.Engine { return gas.New() },
-			Opt: engine.Options{Async: true}, PageRankOnly: true},
+			Opt: engine.Options{Async: true}, PageRankOnly: true, MaxMachines: vcMax},
 		{Key: "gl-s-a-i", Label: "GL-S-A-I", New: func() engine.Engine { return gas.New() },
-			Opt: engine.Options{Partitioning: "auto"}, Tweak: fixedIters(30)},
+			Opt: engine.Options{Partitioning: "auto"}, Tweak: fixedIters(30), MaxMachines: vcMax},
 		{Key: "gl-s-a-t", Label: "GL-S-A-T", New: func() engine.Engine { return gas.New() },
-			Opt: engine.Options{Partitioning: "auto"}, PageRankOnly: true},
+			Opt: engine.Options{Partitioning: "auto"}, PageRankOnly: true, MaxMachines: vcMax},
 		{Key: "gl-s-r-i", Label: "GL-S-R-I", New: func() engine.Engine { return gas.New() },
-			Tweak: fixedIters(30)},
+			Tweak: fixedIters(30), MaxMachines: vcMax},
 		{Key: "gl-s-r-t", Label: "GL-S-R-T", New: func() engine.Engine { return gas.New() },
-			PageRankOnly: true},
+			PageRankOnly: true, MaxMachines: vcMax},
 		{Key: "hadoop", Label: "HD", New: func() engine.Engine { return mapreduce.New() }},
 		{Key: "haloop", Label: "HL", New: func() engine.Engine { return haloop.New() }},
-		{Key: "graphx", Label: "S", New: func() engine.Engine { return graphx.New() }},
+		{Key: "graphx", Label: "S", New: func() engine.Engine { return graphx.New() }, MaxMachines: vcMax},
 		{Key: "gelly", Label: "FG", New: newGelly},
 	}
 }
@@ -104,6 +111,10 @@ func MainGridSystems() []System {
 // every system runs every kind except the PageRank-only variants. Both
 // binaries reject a pair it refuses.
 func (s System) Runs(k engine.Kind) bool { return !s.PageRankOnly || k == engine.PageRank }
+
+// RunsOn reports whether the system runs on a cluster of the given
+// size. Both binaries reject a size it refuses.
+func (s System) RunsOn(machines int) bool { return s.MaxMachines == 0 || machines <= s.MaxMachines }
 
 // SystemByKey returns the system with the given key: a registry entry
 // or Vertica — looked at apart, not appended to a grown copy of the
@@ -451,6 +462,9 @@ func (r *Runner) TryRunPlanned(pool *par.Pool, f FaultOpts, d *plan.Decision, na
 	s, err := SystemByKey(d.System)
 	if err != nil {
 		return nil, err
+	}
+	if !s.RunsOn(d.Machines) {
+		return nil, fmt.Errorf("core: planned system %q runs on at most %d machines, got %d", s.Key, s.MaxMachines, d.Machines)
 	}
 	f.Plan = d
 	return r.tryRun(s, name, kind, d.Machines, r.Shards, pool, f)

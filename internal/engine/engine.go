@@ -9,6 +9,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"graphbench/internal/govern"
 	"graphbench/internal/graph"
@@ -567,8 +568,10 @@ type Engine interface {
 }
 
 // Dataset is the handle engines receive: the prepared graph every run
-// computes on (shared and read-only — engines build the views they need
-// as new graphs), the catalogue entries of its three on-disk formats in
+// computes on (shared and read-only), the views derived from it that are
+// work of the load phase — a function of the dataset and at most the
+// machine count, built once and shared read-only like the graph (see
+// View) — the catalogue entries of its three on-disk formats in
 // simulated HDFS, and the metadata needed for cost accounting.
 type Dataset struct {
 	Name        string
@@ -593,6 +596,46 @@ type Dataset struct {
 	// undirected label-propagation depth. Values below 1 mean 1.
 	DilationSSSP float64
 	DilationWCC  float64
+
+	viewMu sync.Mutex // guards the map only, never held across a build
+	views  map[any]*view
+}
+
+// view is the once-entry of one derived view.
+type view struct {
+	arg   int
+	build sync.Once
+	v     any
+}
+
+// View returns the view of d's graph stored under key, building it on
+// first use: concurrent first callers coalesce onto one build, which
+// runs outside the dataset's lock. arg is what the view depends on
+// besides the dataset (a machine count; 0 for none). A key holds one
+// view: asking with another arg drops the held one and builds anew, so
+// what a dataset retains is bounded by its keys, not by the arguments
+// clients choose. Views are shared by every run and must not be written.
+func View[T any](d *Dataset, key any, arg int, build func() T) T {
+	d.viewMu.Lock()
+	e := d.views[key]
+	if e == nil || e.arg != arg {
+		if d.views == nil {
+			d.views = make(map[any]*view)
+		}
+		e = &view{arg: arg}
+		d.views[key] = e
+	}
+	d.viewMu.Unlock()
+	e.build.Do(func() { e.v = build() })
+	return e.v.(T)
+}
+
+type undirectedKey struct{}
+
+// Undirected returns the undirected view of d.Graph, the graph WCC's
+// label propagation and GVD's block growth run on.
+func (d *Dataset) Undirected() *graph.Graph {
+	return View(d, undirectedKey{}, 0, d.Graph.Undirected)
 }
 
 // DilationFor returns the iteration-dilation factor (>= 1) for the

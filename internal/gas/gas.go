@@ -109,7 +109,11 @@ func (g *GraphLab) Run(c *sim.Cluster, d *engine.Dataset, w engine.Workload, opt
 	res.Timed(c, &res.Load, func() (err error) {
 		gr = d.Graph.WithoutSelfEdges() // §3.1.1: GraphLab cannot represent self-edges
 		kind := partitionKind(opt, m)
-		vc = partition.BuildVertexCut(gr, m, kind, 7)
+		// The cut is a function of the fixture, the strategy and the
+		// machine count: one slot per strategy, rebuilt when m changes.
+		vc = engine.View(d, kind, m, func() *partition.VertexCut {
+			return partition.BuildVertexCut(gr, m, kind, 7)
+		})
 		res.ReplicationFactor = vc.ReplicationFactor()
 		loaded, err = g.chargeLoad(c, &prof, d, gr, vc, kind)
 		return err

@@ -184,8 +184,8 @@ func (b *Builder) SetScaleFactor(s float64) *Builder { b.scale = s; return b }
 func (b *Builder) Dedupe(on bool) *Builder { b.dedupe = on; return b }
 
 // Reserve preallocates capacity for n edges, so callers that know the
-// final edge count (Undirected, WithoutSelfEdges, loaders with a header)
-// avoid the append growth copies.
+// final edge count (ForwardOrient, loaders with a header) avoid the
+// append growth copies.
 func (b *Builder) Reserve(n int) *Builder {
 	if cap(b.edges) < n {
 		edges := make([]Edge, len(b.edges), n)
@@ -285,35 +285,88 @@ func (b *Builder) Build() *Graph {
 // Undirected returns a new graph in which every edge (u,v) also appears
 // as (v,u). Duplicate edges are removed. WCC and diameter estimation use
 // the undirected view.
+//
+// A vertex's undirected neighbours are the union of its out- and
+// in-lists, both already sorted, so the view is one merge per vertex —
+// a count pass sizing the arrays exactly, then a fill pass — with no
+// edge list and no sort. A symmetric graph is its own transpose: the
+// in-CSR aliases the out-CSR (graphs are immutable).
 func (g *Graph) Undirected() *Graph {
-	b := NewBuilder(g.NumVertices())
-	b.SetName(g.name).SetScaleFactor(g.ScaleFactor()).Dedupe(true)
-	b.Reserve(2*g.NumEdges() - g.selfEdges) // exact pre-dedupe edge count
-	g.Edges(func(src, dst VertexID) bool {
-		b.AddEdge(src, dst)
-		if src != dst {
-			b.AddEdge(dst, src)
+	n := g.NumVertices()
+	u := &Graph{name: g.name, scale: g.ScaleFactor()}
+	u.outOffsets = make([]int32, n+1)
+	for v := 0; v < n; v++ {
+		cnt, _ := mergeUnique(nil, g.OutNeighbors(VertexID(v)), g.InNeighbors(VertexID(v)), VertexID(v))
+		u.outOffsets[v+1] = u.outOffsets[v] + int32(cnt)
+	}
+	u.outEdges = make([]VertexID, u.outOffsets[n])
+	for v := 0; v < n; v++ {
+		_, self := mergeUnique(u.outEdges[u.outOffsets[v]:u.outOffsets[v+1]],
+			g.OutNeighbors(VertexID(v)), g.InNeighbors(VertexID(v)), VertexID(v))
+		if self {
+			u.selfEdges++
 		}
-		return true
-	})
-	return b.Build()
+	}
+	u.inOffsets, u.inEdges = u.outOffsets, u.outEdges
+	return u
+}
+
+// mergeUnique merges the sorted lists a and b without duplicates,
+// returning the merged length and whether self is in it. It writes the
+// result into dst unless dst is nil (the count pass).
+func mergeUnique(dst, a, b []VertexID, self VertexID) (n int, hasSelf bool) {
+	i, j := 0, 0
+	last := VertexID(-1)
+	for i < len(a) || j < len(b) {
+		var x VertexID
+		if j == len(b) || (i < len(a) && a[i] <= b[j]) {
+			x = a[i]
+			i++
+		} else {
+			x = b[j]
+			j++
+		}
+		if x == last {
+			continue
+		}
+		last = x
+		if dst != nil {
+			dst[n] = x
+		}
+		if x == self {
+			hasSelf = true
+		}
+		n++
+	}
+	return n, hasSelf
 }
 
 // WithoutSelfEdges returns a copy of g with self-edges removed. GraphLab
 // (PowerGraph) cannot represent self-edges (paper §3.1.1); the GAS engine
-// uses this to mirror that limitation.
+// uses this to mirror that limitation. Each CSR direction is copied
+// without its self entries — one pass, no Builder — so neighbour runs
+// stay sorted and duplicate edges are kept.
 func (g *Graph) WithoutSelfEdges() *Graph {
 	if g.selfEdges == 0 {
 		return g
 	}
-	b := NewBuilder(g.NumVertices())
-	b.SetName(g.name).SetScaleFactor(g.ScaleFactor())
-	b.Reserve(g.NumEdges() - g.selfEdges) // exact final edge count
-	g.Edges(func(src, dst VertexID) bool {
-		if src != dst {
-			b.AddEdge(src, dst)
+	c := &Graph{name: g.name, scale: g.ScaleFactor()}
+	c.outOffsets, c.outEdges = dropSelf(g.outOffsets, g.outEdges, g.selfEdges)
+	c.inOffsets, c.inEdges = dropSelf(g.inOffsets, g.inEdges, g.selfEdges)
+	return c
+}
+
+// dropSelf copies one CSR direction without its self entries.
+func dropSelf(off []int32, edges []VertexID, selfEdges int) ([]int32, []VertexID) {
+	outOff := make([]int32, len(off))
+	out := make([]VertexID, 0, len(edges)-selfEdges)
+	for v := 0; v+1 < len(off); v++ {
+		for _, w := range edges[off[v]:off[v+1]] {
+			if w != VertexID(v) {
+				out = append(out, w)
+			}
 		}
-		return true
-	})
-	return b.Build()
+		outOff[v+1] = int32(len(out))
+	}
+	return outOff, out
 }

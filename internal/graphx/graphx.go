@@ -145,7 +145,7 @@ func (g *GraphX) pregelLoop(sc *rdd.Context, d *engine.Dataset, gr *graph.Graph,
 	work := gr
 	switch w.Kind {
 	case engine.WCC:
-		work = gr.Undirected()
+		work = d.Undirected()
 	case engine.LPA:
 		work = gr.Simple()
 	}

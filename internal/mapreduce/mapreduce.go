@@ -203,7 +203,7 @@ func (h *Hadoop) iterate(c *sim.Cluster, d *engine.Dataset, gr *graph.Graph, w e
 		}
 		adjBytes *= 2
 		if w.Kind == engine.WCC {
-			work = gr.Undirected()
+			work = d.Undirected()
 		} else {
 			work = gr.Simple()
 		}

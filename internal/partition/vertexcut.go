@@ -138,8 +138,12 @@ func perfectDifferenceSet(m, p int) []int {
 	return set
 }
 
-// replicaSet is a machine bitset (supports clusters up to 192 machines,
-// beyond the paper's 128).
+// MaxVertexCutMachines is the largest cluster a vertex cut is built
+// for (the paper stops at 128): a replicaSet has this many bits, and a
+// machine id fits the byte edgeMachine keeps per edge.
+const MaxVertexCutMachines = 192
+
+// replicaSet is a machine bitset.
 type replicaSet [3]uint64
 
 func (r *replicaSet) add(m int)     { r[m>>6] |= 1 << (m & 63) }
@@ -162,7 +166,7 @@ type VertexCut struct {
 	M    int
 	Kind VertexCutKind
 
-	edgeMachine []int32      // per edge, in CSR iteration order
+	edgeMachine []uint8      // per edge, in CSR iteration order
 	replicas    []replicaSet // per vertex
 	edgeCounts  []int        // per machine
 
@@ -171,13 +175,13 @@ type VertexCut struct {
 
 // BuildVertexCut partitions g's edges across m machines.
 func BuildVertexCut(g *graph.Graph, m int, kind VertexCutKind, seed int64) *VertexCut {
-	if m > 192 {
-		panic("partition: vertex-cut supports at most 192 machines")
+	if m > MaxVertexCutMachines {
+		panic(fmt.Sprintf("partition: vertex-cut supports at most %d machines", MaxVertexCutMachines))
 	}
 	vc := &VertexCut{
 		M:           m,
 		Kind:        kind,
-		edgeMachine: make([]int32, g.NumEdges()),
+		edgeMachine: make([]uint8, g.NumEdges()),
 		replicas:    make([]replicaSet, g.NumVertices()),
 		edgeCounts:  make([]int, m),
 	}
@@ -211,7 +215,7 @@ func BuildVertexCut(g *graph.Graph, m int, kind VertexCutKind, seed int64) *Vert
 		case VCOblivious:
 			machine = vc.obliviousPlace(src, dst)
 		}
-		vc.edgeMachine[idx] = int32(machine)
+		vc.edgeMachine[idx] = uint8(machine)
 		vc.edgeCounts[machine]++
 		vc.replicas[src].add(machine)
 		vc.replicas[dst].add(machine)

@@ -30,18 +30,34 @@ type VoronoiOptions struct {
 	MaxRounds   int     // default 10; leftovers become singleton blocks
 }
 
-// BuildVoronoi runs GVD partitioning of g for m machines. Sampling and
-// BFS run on the undirected view, so blocks are connected vertex sets.
+// BuildVoronoi runs GVD partitioning of g for m machines: the blocks,
+// then their packing.
+func BuildVoronoi(g *graph.Graph, m int, seed int64, opt VoronoiOptions) *Voronoi {
+	return BuildBlocks(g, g.Undirected(), seed, opt).Pack(m)
+}
+
+// Pack returns the blocks packed onto m machines: a shallow copy that
+// shares the block structure and owns its BlockMachine, so one
+// BuildBlocks result serves runs at any cluster size.
+func (v *Voronoi) Pack(m int) *Voronoi {
+	p := *v
+	p.packBlocks(m)
+	return &p
+}
+
+// BuildBlocks runs the part of GVD partitioning that does not depend on
+// the machine count — the sampling rounds, the block of every vertex
+// and the block graph — leaving BlockMachine to Pack. Sampling and BFS
+// run on u, g's undirected view, so blocks are connected vertex sets.
 // The sampling rate doubles each round, as in Blogel, until every
 // vertex is assigned or MaxRounds is reached.
-func BuildVoronoi(g *graph.Graph, m int, seed int64, opt VoronoiOptions) *Voronoi {
+func BuildBlocks(g, u *graph.Graph, seed int64, opt VoronoiOptions) *Voronoi {
 	if opt.InitialRate <= 0 {
 		opt.InitialRate = 0.001
 	}
 	if opt.MaxRounds <= 0 {
 		opt.MaxRounds = 10
 	}
-	u := g.Undirected()
 	n := u.NumVertices()
 	rng := rand.New(rand.NewSource(seed))
 
@@ -115,7 +131,6 @@ func BuildVoronoi(g *graph.Graph, m int, seed int64, opt VoronoiOptions) *Vorono
 		v.BlockSizes[v.BlockOf[i]]++
 	}
 
-	v.packBlocks(m)
 	v.buildBlockGraph(g)
 	return v
 }

@@ -148,7 +148,7 @@ func (e *Vertica) iterate(c *sim.Cluster, d *engine.Dataset, w engine.Workload, 
 		// credit aggregate written back to the vertex table.
 		return e.chargeIteration(c, d, 2*oRows+float64(joinRows), 2*float64(joinRows), float64(n), 1)
 	case engine.WCC:
-		work = work.Undirected()
+		work = d.Undirected()
 	case engine.LPA:
 		// Symmetrize: CREATE TABLE und AS SELECT both directions.
 		work = work.Simple()

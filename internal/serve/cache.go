@@ -56,12 +56,14 @@ type cacheEntry struct {
 // depend on the leader's context; ctx bounds only the caller's own
 // wait. Failed *runs* (OOM, timeout — deterministic modeled outcomes)
 // are cached like successes; only errors (fixture failures, overload,
-// deadline) evict the entry so a later request retries.
+// deadline, a panic in compute) evict the entry so a later request
+// retries.
 type resultCache struct {
 	mu sync.Mutex
 	m  map[runKey]*cacheEntry
 
 	hits, misses, coalesced atomic.Uint64
+	panics                  atomic.Uint64 // flights whose compute panicked, answered 500
 }
 
 func newResultCache() *resultCache {
@@ -98,7 +100,7 @@ func (c *resultCache) get(ctx context.Context, key runKey, compute func() (*engi
 	c.misses.Add(1)
 
 	go func() {
-		e.res, e.err = compute()
+		e.res, e.err = c.run(compute)
 		if e.err != nil {
 			// Errors are conditions of the attempt, not of the key:
 			// evict so the next request retries instead of replaying a
@@ -118,6 +120,21 @@ func (c *resultCache) get(ctx context.Context, key runKey, compute func() (*engi
 	case <-ctx.Done():
 		return nil, "miss", ctx.Err()
 	}
+}
+
+// run calls compute with a panic turned into an error. The flight
+// goroutine is outside ServeHTTP's recover: an escaped panic would kill
+// the process, and an entry whose done never closes would hang every
+// request coalesced onto it. As an error it evicts the entry, so the
+// leader and its followers answer 500 and the next request recomputes.
+func (c *resultCache) run(compute func() (*engine.Result, error)) (res *engine.Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			c.panics.Add(1)
+			res, err = nil, fmt.Errorf("internal error: %v", v)
+		}
+	}()
+	return compute()
 }
 
 // stats returns the cumulative hit/miss/coalesced counters.

@@ -223,7 +223,9 @@ func New(cfg Config) (*Server, error) {
 }
 
 // ServeHTTP dispatches to the mux behind a panic-recovery middleware:
-// a panicking handler costs its request a 500, never the process.
+// a panicking handler costs its request a 500, never the process. (A
+// run panics on the cache's flight goroutine, which recovers for itself;
+// see resultCache.run.)
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -390,7 +392,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		Recovered:        s.faultsRecovered.Load(),
 		Retries:          s.retriesTotal.Load(),
 		RetriesExhausted: s.retriesExhausted.Load(),
-		Panics:           s.panics.Load(),
+		Panics:           s.panics.Load() + s.cache.panics.Load(),
 	}
 	body.Breakers = s.breakers.states()
 	if gov := s.runner.Governor(); gov.Enabled() {
@@ -481,6 +483,12 @@ func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, kind engine.
 		}
 	}
 
+	if !sys.RunsOn(machines) {
+		writeError(w, http.StatusBadRequest,
+			"system %q runs on at most %d machines, got %d", sys.Key, sys.MaxMachines, machines)
+		return q, false
+	}
+
 	// The fixture is warmed at startup for configured datasets; a cold
 	// one generates here, under this request's budget.
 	d, err := s.runner.TryDataset(name)
@@ -565,62 +573,65 @@ func (s *Server) handleQuery(kind engine.Kind) http.HandlerFunc {
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
 
-		q, ok := s.parseQuery(w, r, kind)
-		if !ok {
-			return
+		if q, ok := s.parseQuery(w, r, kind); ok {
+			s.answer(ctx, w, q, kind)
 		}
-
-		res, cacheStatus, err := s.cache.get(ctx, q.key, func() (*engine.Result, error) {
-			// The flight belongs to the server, not to the request that
-			// happened to start it: followers coalesce onto it, so only
-			// its own deadline — never the leader's disconnect — may end
-			// its wait for admission.
-			flight, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
-			defer cancel()
-			return s.compute(flight, q, kind)
-		})
-		if err != nil {
-			switch {
-			case errors.Is(err, errOverloaded):
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")
-			case errors.Is(err, errBreakerOpen):
-				w.Header().Set("Retry-After", s.breakerRetryAfter())
-				writeError(w, http.StatusServiceUnavailable,
-					"circuit breaker open for %s/%s, retry later", q.key.dataset, kind)
-			case errors.Is(err, govern.ErrBudget):
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusServiceUnavailable,
-					"memory budget exhausted for %s/%s, retry later", q.key.dataset, kind)
-			case errors.Is(err, context.DeadlineExceeded):
-				writeError(w, http.StatusGatewayTimeout, "request deadline exceeded")
-			default:
-				writeError(w, http.StatusInternalServerError, "%v", err)
-			}
-			return
-		}
-
-		// Cache provenance goes in a header, never the body: cached
-		// bodies must be byte-identical to cold ones. The planner
-		// decision trace travels the same way.
-		w.Header().Set("X-Graphserve-Cache", cacheStatus)
-		if q.plan != nil {
-			w.Header().Set("X-Graphserve-Plan", q.plan.Summary())
-		}
-
-		meta := metaOf(q.key, res)
-		if res.Status != sim.OK {
-			// A failed run is a deterministic modeled outcome (OOM,
-			// timeout, …) — a finding, served as 500 with the same
-			// body every time.
-			writeJSON(w, http.StatusInternalServerError, struct {
-				runMeta
-				Error string `json:"error"`
-			}{meta, fmt.Sprintf("run failed: %s", res.Status)})
-			return
-		}
-		writeJSON(w, http.StatusOK, queryBody(kind, q, meta, res))
 	}
+}
+
+// answer serves a validated query from the result cache, running it on
+// a miss.
+func (s *Server) answer(ctx context.Context, w http.ResponseWriter, q query, kind engine.Kind) {
+	res, cacheStatus, err := s.cache.get(ctx, q.key, func() (*engine.Result, error) {
+		// The flight belongs to the server, not to the request that
+		// happened to start it: followers coalesce onto it, so only
+		// its own deadline — never the leader's disconnect — may end
+		// its wait for admission.
+		flight, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
+		defer cancel()
+		return s.compute(flight, q, kind)
+	})
+	if err != nil {
+		switch {
+		case errors.Is(err, errOverloaded):
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")
+		case errors.Is(err, errBreakerOpen):
+			w.Header().Set("Retry-After", s.breakerRetryAfter())
+			writeError(w, http.StatusServiceUnavailable,
+				"circuit breaker open for %s/%s, retry later", q.key.dataset, kind)
+		case errors.Is(err, govern.ErrBudget):
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusServiceUnavailable,
+				"memory budget exhausted for %s/%s, retry later", q.key.dataset, kind)
+		case errors.Is(err, context.DeadlineExceeded):
+			writeError(w, http.StatusGatewayTimeout, "request deadline exceeded")
+		default:
+			writeError(w, http.StatusInternalServerError, "%v", err)
+		}
+		return
+	}
+
+	// Cache provenance goes in a header, never the body: cached
+	// bodies must be byte-identical to cold ones. The planner
+	// decision trace travels the same way.
+	w.Header().Set("X-Graphserve-Cache", cacheStatus)
+	if q.plan != nil {
+		w.Header().Set("X-Graphserve-Plan", q.plan.Summary())
+	}
+
+	meta := metaOf(q.key, res)
+	if res.Status != sim.OK {
+		// A failed run is a deterministic modeled outcome (OOM,
+		// timeout, …) — a finding, served as 500 with the same
+		// body every time.
+		writeJSON(w, http.StatusInternalServerError, struct {
+			runMeta
+			Error string `json:"error"`
+		}{meta, fmt.Sprintf("run failed: %s", res.Status)})
+		return
+	}
+	writeJSON(w, http.StatusOK, queryBody(kind, q, meta, res))
 }
 
 // compute runs the query's experiment behind the circuit breaker and
@@ -639,7 +650,17 @@ func (s *Server) compute(ctx context.Context, q query, kind engine.Kind) (*engin
 		return nil, err
 	}
 	defer s.sched.release(pool)
+	// A run that panics (recovered by the cache's flight) is a failed
+	// attempt; unrecorded, a half-open probe would stay outstanding and
+	// the breaker would refuse this pair for good.
+	panicked := true
+	defer func() {
+		if panicked {
+			br.record(false)
+		}
+	}()
 	res, err := s.runWithRetry(pool, q, kind)
+	panicked = false
 	if errors.Is(err, govern.ErrBudget) {
 		// A budget rejection is a condition of the server's memory
 		// budget, not of this (dataset, workload): don't count it

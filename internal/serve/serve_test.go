@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"graphbench/internal/core"
 	"graphbench/internal/datasets"
 	"graphbench/internal/engine"
 	"graphbench/internal/sim"
@@ -281,6 +282,10 @@ func TestServerValidation(t *testing.T) {
 		{"/v1/pagerank?dataset=nope", http.StatusNotFound},
 		{"/v1/pagerank?system=nope", http.StatusBadRequest},
 		{"/v1/wcc?system=gl-a-r-t", http.StatusBadRequest}, // PageRank-only variant
+		// A vertex cut is built for at most 192 machines: refused up
+		// front (the run would panic in partition.BuildVertexCut).
+		{"/v1/pagerank?system=gl-s-r-i&machines=256", http.StatusBadRequest},
+		{"/v1/wcc?system=graphx&machines=193", http.StatusBadRequest},
 		{"/v1/pagerank?machines=0", http.StatusBadRequest},
 		{"/v1/pagerank?machines=zig", http.StatusBadRequest},
 		{"/v1/pagerank?k=-1", http.StatusBadRequest},
@@ -297,6 +302,75 @@ func TestServerValidation(t *testing.T) {
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error body %s", c.path, body)
 		}
+	}
+	if code, _, body := get(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after the refused requests: %d %s", code, body)
+	}
+}
+
+// panicEngine panics in Run once gate is closed.
+type panicEngine struct{ gate <-chan struct{} }
+
+func (panicEngine) Name() string { return "panic" }
+func (e panicEngine) Run(*sim.Cluster, *engine.Dataset, engine.Workload, engine.Options) *engine.Result {
+	<-e.gate
+	panic("engine bug")
+}
+
+// TestServerPanickingRunAnswers500: a run executes on the cache's
+// detached flight goroutine, outside ServeHTTP's recover. A panic there
+// must cost the leader and every follower coalesced onto it a 500 —
+// never the process — count once, and evict the entry so the next
+// request runs again.
+func TestServerPanickingRunAnswers500(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: 2})
+	d, err := s.runner.TryDataset(datasets.Twitter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	q := query{
+		key: runKey{dataset: datasets.Twitter, kind: engine.PageRank, system: "panic", machines: 16},
+		sys: core.System{Key: "panic", New: func() engine.Engine { return panicEngine{gate} }},
+		d:   d,
+	}
+	ask := func() int {
+		rec := httptest.NewRecorder()
+		s.answer(context.Background(), rec, q, engine.PageRank)
+		return rec.Code
+	}
+
+	codes := make(chan int, 2)
+	go func() { codes <- ask() }()
+	waitFor(t, func() bool { _, misses, _ := s.cache.stats(); return misses == 1 })
+	go func() { codes <- ask() }()
+	waitFor(t, func() bool { _, _, coalesced := s.cache.stats(); return coalesced == 1 })
+	close(gate)
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusInternalServerError {
+			t.Fatalf("request on the panicking flight answered %d, want 500", code)
+		}
+	}
+
+	panics := func() uint64 {
+		_, _, body := get(t, ts.URL+"/metrics")
+		var m metricsBody
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatalf("metrics: %v (%s)", err, body)
+		}
+		return m.Faults.Panics
+	}
+	if n := panics(); n != 1 {
+		t.Fatalf("panics_total = %d after one panicking flight, want 1", n)
+	}
+	if code := ask(); code != http.StatusInternalServerError {
+		t.Fatalf("request after the panic answered %d, want 500 from a fresh run", code)
+	}
+	if _, misses, _ := s.cache.stats(); misses != 2 || panics() != 2 {
+		t.Fatalf("misses = %d, panics_total = %d: the panicked entry was not evicted and rerun", misses, panics())
+	}
+	if code, _, _ := get(t, ts.URL+"/v1/wcc?vertex=3"); code != http.StatusOK {
+		t.Fatalf("query after the panics answered %d: the admission slot was not released", code)
 	}
 }
 

@@ -25,7 +25,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCH="${BENCH:-MessagePlane|Traversal|Table6|Snapshot|TextDecode|Spill|Planner}"
+BENCH="${BENCH:-MessagePlane|Traversal|DerivedViews|Table6|Snapshot|TextDecode|Spill|Planner}"
 BENCHTIME="${BENCHTIME:-20x}"
 COMPARE=""
 THRESHOLD=15
