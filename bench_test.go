@@ -25,6 +25,7 @@ import (
 	"graphbench/internal/graphx"
 	"graphbench/internal/haloop"
 	"graphbench/internal/harness"
+	"graphbench/internal/par"
 	"graphbench/internal/partition"
 	"graphbench/internal/plan"
 	"graphbench/internal/pregel"
@@ -39,7 +40,7 @@ const benchScale = 400_000
 // messagePlaneScale sizes the skewed power-law fixture shared by
 // BenchmarkMessagePlane and BenchmarkParallelSpeedup/Sharded: ~20k
 // vertices and ~750k edges, large enough that a superstep's working
-// set (inbox arena, combiner stamps, send buckets) spills the fast
+// set (inbox arena, sender-machine scratch, send buckets) spills the fast
 // caches — the regime the message plane exists for.
 const messagePlaneScale = 2000
 
@@ -356,6 +357,22 @@ func BenchmarkMessagePlane(b *testing.B) {
 			}
 		}
 	}
+	// pooled is the steady state of back-to-back runs on one persistent
+	// pool — what a graphserve admission slot sees: after a warm-up run
+	// the leased message-plane arena has its size and a run allocates its
+	// O(V) state only. The bare and /push variants build a pool, and so an
+	// arena, per run.
+	pooled := func(b *testing.B, cfg bsp.Config) {
+		b.Helper()
+		pool := par.New(cfg.Shards)
+		defer pool.Close()
+		cfg.Pool = pool
+		if _, err := bsp.Run(sim.NewSize(m), cfg); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		run(b, cfg)
+	}
 	src := datasets.SourceVertex(g, 42)
 	pagerank := func(dir engine.Direction, shards int) bsp.Config {
 		cfg := base
@@ -397,17 +414,26 @@ func BenchmarkMessagePlane(b *testing.B) {
 		b.Run(fmt.Sprintf("PageRank/push/shards=%d", shards), func(b *testing.B) {
 			run(b, pagerank(engine.DirectionPush, shards))
 		})
+		b.Run(fmt.Sprintf("PageRank/pooled/shards=%d", shards), func(b *testing.B) {
+			pooled(b, pagerank(engine.DirectionAuto, shards))
+		})
 		b.Run(fmt.Sprintf("WCC/shards=%d", shards), func(b *testing.B) {
 			run(b, wcc(engine.DirectionAuto, shards))
 		})
 		b.Run(fmt.Sprintf("WCC/push/shards=%d", shards), func(b *testing.B) {
 			run(b, wcc(engine.DirectionPush, shards))
 		})
+		b.Run(fmt.Sprintf("WCC/pooled/shards=%d", shards), func(b *testing.B) {
+			pooled(b, wcc(engine.DirectionAuto, shards))
+		})
 		b.Run(fmt.Sprintf("SSSP/shards=%d", shards), func(b *testing.B) {
 			run(b, sssp(engine.DirectionAuto, shards))
 		})
 		b.Run(fmt.Sprintf("SSSP/push/shards=%d", shards), func(b *testing.B) {
 			run(b, sssp(engine.DirectionPush, shards))
+		})
+		b.Run(fmt.Sprintf("SSSP/pooled/shards=%d", shards), func(b *testing.B) {
+			pooled(b, sssp(engine.DirectionAuto, shards))
 		})
 	}
 }

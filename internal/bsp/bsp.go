@@ -14,6 +14,8 @@
 package bsp
 
 import (
+	"fmt"
+
 	"graphbench/internal/engine"
 	"graphbench/internal/govern"
 	"graphbench/internal/graph"
@@ -269,12 +271,16 @@ type shardState struct {
 	updates  int
 	maxDelta float64
 
-	// Direction-optimization scratch, allocated only when the program
-	// has a pull kernel and the direction policy allows pulling.
-	senders   []graph.VertexID // vertices of this shard that sent this superstep, in order
-	pullStamp []int32          // machine -> receiver tag, distinct-machine scratch
-	pullSlot  []int32          // machine -> claimed slot (combined pull sums)
-	pullAcc   []float64        // per-slot partial sums in first-claim order
+	// Combiner scratch of the passes this shard runs as a receiver — the
+	// merge pass's fold and the pull kernels' sweeps, one at a time: which
+	// receiver a sender machine was last seen at, and the slot it claimed
+	// there. One entry per machine.
+	stamp []int32
+	slot  []int32
+
+	// pullAcc is the combined PullSum kernel's per-slot partial sums in
+	// first-claim order.
+	pullAcc []float64
 
 	// Out-of-core state (nil on in-core runs, see ooc.go): streamed
 	// edge blocks and the shard's bucket spill.
@@ -288,10 +294,40 @@ type shardState struct {
 // counting closures; the push merge pass leaves it zero.
 type delivery struct{ delivered, cross, receivers int64 }
 
+// machineID is a sender machine as the merge pass records it beside
+// each raw message; two bytes bound what a message costs in scratch.
+type machineID = uint16
+
+// maxMachines is the largest cluster a machineID tells apart.
+const maxMachines = 1 << 16
+
+// arena is the message plane — every buffer whose size follows a
+// superstep's message count rather than the vertex count. A run leases
+// it from its pool (par.Lease) and truncates it instead of reallocating:
+// on a persistent pool, such as a graphserve admission slot's, the next
+// run finds the buffers grown to the largest superstep the pool has run,
+// and nothing retains them once the pool sits idle. What outlives a run —
+// Output.Values, IterStats, checkpoint copies — is never arena memory.
+type arena struct {
+	buckets []bucket           // send buckets, one row of plan.Count() per source shard
+	senders [][]graph.VertexID // per shard, the vertices that sent this superstep, in order
+
+	// The twin inbox value arenas: vertex v's messages for the current
+	// superstep are inVals[inStart[v] : inStart[v]+inLen[v]]; the merge
+	// pass writes the next superstep's into nextVals and deliver swaps.
+	inVals, nextVals []float64
+
+	mach    []machineID        // sender machine per raw message of the superstep being merged
+	recv    [][]graph.VertexID // per merge shard, the destinations its fold visits
+	fronts  [2]graph.Frontier  // the direction policy's sender sets
+	touched []graph.VertexID   // countSeq's receivers to reset
+}
+
 type runtime struct {
 	cfg     Config
 	cluster *sim.Cluster
 	pool    *par.Pool
+	*arena                // the leased message plane
 	plan    par.Plan      // vertex-range shards, edge-balanced
 	shards  []*shardState // one per plan shard
 	shardOf []int32       // vertex -> shard, the send path's O(1) router
@@ -301,16 +337,14 @@ type runtime struct {
 	owner  []int32 // vertex -> machine
 
 	// CSR-style superstep inboxes: vertex v's messages for the current
-	// superstep are inVals[inStart[v] : inStart[v]+inLen[v]]. The next
-	// superstep's inbox is laid out in the merge pass from per-shard
-	// message counts and written into the twin arena; deliver() swaps
-	// the two triples, so no per-vertex slice is ever allocated or
+	// superstep are the arena's inVals[inStart[v] : inStart[v]+inLen[v]].
+	// The next superstep's inbox is laid out in the merge pass from
+	// per-shard message counts and written into the twin arena; deliver()
+	// swaps the two triples, so no per-vertex slice is ever allocated or
 	// nil-ed. Arena indices are int32 (like graph offsets): a synthetic
 	// superstep's raw message count stays far below 2^31.
-	inVals    []float64
 	inStart   []int32
 	inLen     []int32
-	nextVals  []float64
 	nextStart []int32
 	nextLen   []int32
 
@@ -338,11 +372,6 @@ type runtime struct {
 	deliveredTotal float64 // post-combine messages delivered
 	crossTotal     float64 // post-combine messages crossing machines
 
-	// Sender-side combiner state per (machine, dst): the superstep the
-	// slot was last written and the index of the slot in nextInbox[dst].
-	stamp   [][]int32
-	slotIdx [][]int32
-
 	totalMsgs       float64
 	lastStepSeconds float64
 
@@ -364,10 +393,9 @@ type runtime struct {
 	pullFn       func(i int)
 	countFn      func(i int)
 	countSeq     func() delivery
-	// countMask/countTouched are the sender-side counting scratch:
-	// per-receiver machine bitmasks plus the list of receivers to reset.
-	countMask    []uint64
-	countTouched []graph.VertexID
+	// countMask is the sender-side counting scratch: per-receiver machine
+	// bitmasks (the list of receivers to reset is the arena's touched).
+	countMask []uint64
 	// recvPrev is the distinct-receiver count of the current frontier's
 	// pending messages — the next monotone pull superstep's active
 	// count. Set by the min-kind counting passes; consulted only while
@@ -433,13 +461,21 @@ func Run(cluster *sim.Cluster, cfg Config) (*Output, error) {
 	if cfg.TimeDilation < 1 {
 		cfg.TimeDilation = 1
 	}
+	if cfg.M > maxMachines {
+		return &Output{}, fmt.Errorf("bsp: %d machines, the runtime tells at most %d apart", cfg.M, maxMachines)
+	}
 	n := cfg.Graph.NumVertices()
 	pool, release := par.Use(cfg.Pool, cfg.Shards)
 	defer release()
 	rt := &runtime{
-		cfg:       cfg,
-		cluster:   cluster,
-		pool:      pool,
+		cfg:     cfg,
+		cluster: cluster,
+		pool:    pool,
+		// Leased ahead of the run's first large allocation: a collection
+		// that allocation starts can finish — the allocating goroutine
+		// assists it — before the next statement runs, and would take an
+		// arena nothing referred to yet.
+		arena:     par.Lease[arena](pool),
 		plan:      cfg.ShardPlan.Cut(cfg.Graph, pool.Workers()),
 		values:    make([]float64, n),
 		halted:    make([]bool, n),
@@ -454,15 +490,16 @@ func Run(cluster *sim.Cluster, cfg Config) (*Output, error) {
 	rt.shardBase = make([]int32, rt.plan.Count())
 	rt.merged = make([]delivery, rt.plan.Count())
 	for i := 0; i < rt.plan.Count(); i++ {
-		ss := &shardState{shardOf: rt.shardOf, out: make([]bucket, rt.plan.Count())}
+		ss := &shardState{shardOf: rt.shardOf, stamp: make([]int32, cfg.M), slot: make([]int32, cfg.M)}
 		ss.ctx = Context{ss: ss, rt: rt}
 		rt.shards = append(rt.shards, ss)
 	}
+	rt.shapeArena()
 
 	rt.computeFn = func(i int) {
 		ss := rt.shards[i]
 		ss.sent, ss.active, ss.updates, ss.maxDelta = 0, 0, 0, 0
-		ss.senders = ss.senders[:0]
+		senders := rt.senders[i][:0]
 		track := rt.trackSenders
 		for d := range ss.out {
 			b := &ss.out[d]
@@ -494,19 +531,23 @@ func Run(cluster *sim.Cluster, cfg Config) (*Output, error) {
 			before := ss.sent
 			rt.cfg.Program.Compute(&ss.ctx, msgs)
 			if track && ss.sent > before {
-				ss.senders = append(ss.senders, graph.VertexID(v))
+				senders = append(senders, graph.VertexID(v))
 			}
 		}
+		rt.senders[i] = senders
 	}
 	rt.mergeFn = func(i int) {
 		// Count sub-pass: tally the raw messages bound for each of this
 		// destination shard's vertices; nextLen doubles as the counter
-		// array (each shard touches only its own vertex range).
+		// array (each shard touches only its own vertex range). recv
+		// lists the destinations as their first message turns up, for the
+		// fold: a sparse superstep must not pay a third sweep of the range.
 		s := rt.plan.Shard(i)
 		cnt := rt.nextLen
 		for v := s.Lo; v < s.Hi; v++ {
 			cnt[v] = 0
 		}
+		recv := rt.recv[i][:0]
 		for _, src := range rt.shards {
 			for k := 0; ; k++ {
 				b, last, ok := src.segment(i, s.Index, k)
@@ -514,6 +555,9 @@ func Run(cluster *sim.Cluster, cfg Config) (*Output, error) {
 					return
 				}
 				for _, w := range b.dst {
+					if cnt[w] == 0 {
+						recv = append(recv, w)
+					}
 					cnt[w]++
 				}
 				if last {
@@ -521,6 +565,7 @@ func Run(cluster *sim.Cluster, cfg Config) (*Output, error) {
 				}
 			}
 		}
+		rt.recv[i] = recv
 		// Layout sub-pass: finalize CSR offsets from the counts within
 		// the shard's pre-assigned arena region, resetting nextLen to
 		// act as the deposit write cursor.
@@ -532,17 +577,22 @@ func Run(cluster *sim.Cluster, cfg Config) (*Output, error) {
 			cnt[v] = 0
 		}
 		// The shard's region is its slice of the resident arena, or out
-		// of core a bounded buffer sealed to a segment file below.
+		// of core a bounded buffer sealed to a segment file below; mach
+		// is the sender-machine scratch beside it, nil when this
+		// superstep does not combine.
+		combined := rt.combining(rt.superstep)
 		var region []float64
-		if rt.oc == nil {
-			region = rt.nextVals[base:run]
-		} else if region = rt.oc.region(i, int(run-base)); region == nil && run != base {
-			return
+		var mach []machineID
+		if rt.oc != nil {
+			if region, mach = rt.oc.region(i, int(run-base), combined); region == nil && run != base {
+				return
+			}
+		} else if region = rt.nextVals[base:run]; combined {
+			mach = rt.mach[base:run]
 		}
-		// Deposit sub-pass: replay the streams in source-shard order
-		// into the region and the combiner state.
-		var d delivery
-		tag := int32(rt.superstep)
+		// Deposit sub-pass: replay the streams in source-shard order,
+		// raw, into the region.
+		d := delivery{delivered: int64(run - base)}
 		for _, src := range rt.shards {
 			for k := 0; ; k++ {
 				b, last, ok := src.segment(i, s.Index, k)
@@ -550,14 +600,19 @@ func Run(cluster *sim.Cluster, cfg Config) (*Output, error) {
 					return
 				}
 				for j, dst := range b.dst {
-					del, cross := rt.deposit(region, base, b.srcM[j], dst, b.val[j], tag)
-					d.delivered += del
-					d.cross += cross
+					rt.place(region, mach, base, b.srcM[j], dst, b.val[j])
+					if !combined && b.srcM[j] != rt.owner[dst] {
+						d.cross++
+					}
 				}
 				if last {
 					break
 				}
 			}
+		}
+		// Fold sub-pass: the sender-side combiner, per destination.
+		if combined {
+			d = rt.fold(rt.shards[i], recv, region, mach, base)
 		}
 		rt.merged[i] = d
 		if rt.oc != nil {
@@ -568,7 +623,7 @@ func Run(cluster *sim.Cluster, cfg Config) (*Output, error) {
 	// The governor decides the execution mode before planes grow: it
 	// may force push (shedding pull scratch) or set up the out-of-core
 	// streams the phase bodies branch on. It must run before
-	// setupDirection and the combiner allocation below.
+	// setupDirection.
 	if err := rt.setupGovernor(); err != nil {
 		return out, err
 	}
@@ -578,17 +633,6 @@ func Run(cluster *sim.Cluster, cfg Config) (*Output, error) {
 		rt.owner[v] = int32(cfg.MachineOf(graph.VertexID(v)))
 	}
 	rt.setupDirection()
-	if cfg.Combine != nil {
-		rt.stamp = make([][]int32, cfg.M)
-		rt.slotIdx = make([][]int32, cfg.M)
-		for m := 0; m < cfg.M; m++ {
-			rt.stamp[m] = make([]int32, n)
-			for i := range rt.stamp[m] {
-				rt.stamp[m][i] = -1
-			}
-			rt.slotIdx[m] = make([]int32, n)
-		}
-	}
 
 	rt.superstep = 0
 	rt.arenaFresh = true
@@ -746,11 +790,9 @@ func (rt *runtime) canRecover(err error) bool {
 // rollback restores the last checkpoint and arms replay: the failed
 // machine's partitions are rescheduled (a fraction of job startup),
 // every machine reads its checkpoint slice back from disk, and
-// execution re-enters the checkpointed superstep. Combiner stamps
-// reset to unclaimed — replayed supersteps reuse their original
-// superstep tags, and a stale stamp would alias a dead arena slot.
-// Recorded per-iteration stats roll back too, so replayed supersteps
-// do not appear twice.
+// execution re-enters the checkpointed superstep. Recorded
+// per-iteration stats roll back too, so replayed supersteps do not
+// appear twice.
 func (rt *runtime) rollback(out *Output) error {
 	ck := rt.ckpt
 	rt.recovery.Failures++
@@ -788,12 +830,6 @@ func (rt *runtime) rollback(out *Output) error {
 			rt.frontier.Add(u, rt.sendMass(u, ck.superstep-1))
 		}
 	}
-	for m := range rt.stamp {
-		st := rt.stamp[m]
-		for i := range st {
-			st[i] = -1
-		}
-	}
 	if rt.cfg.RecordIterStats {
 		out.IterStats = out.IterStats[:ck.iterStats]
 	}
@@ -810,10 +846,11 @@ func (rt *runtime) rollback(out *Output) error {
 // shard runs its vertices in order and buffers sends by destination
 // shard; and a fused merge, where each destination shard counts its
 // vertices' incoming messages, lays its slice of the arena out in CSR
-// form, and replays the buffers in source-shard order into it and the
-// combiner state. The arena regions the merge shards write into are
-// assigned between the two dispatches from the already-known bucket
-// lengths — an O(shards²) scan on the coordinator, no per-vertex pass.
+// form, replays the buffers in source-shard order into it, and folds
+// each destination's run through the sender-side combiner. The arena
+// regions the merge shards write into are assigned between the two
+// dispatches from the already-known bucket lengths — an O(shards²) scan
+// on the coordinator, no per-vertex pass.
 // Per-destination message order equals the sequential order, and every
 // accumulator is either an integer-valued sum or a max, so outputs and
 // modeled costs are bit-identical for any shard count.
@@ -839,11 +876,13 @@ func (rt *runtime) computePhase() int {
 	}
 	if rt.oc == nil {
 		rt.nextVals = par.Grow(rt.nextVals, total)
+		if rt.combining(rt.superstep) {
+			rt.mach = par.Grow(rt.mach, total)
+		}
 	}
 
-	// Fused count+layout+deposit pass: destination shards, source-shard
-	// order within each — combined messages fold into already-claimed
-	// slots.
+	// Fused count+layout+deposit+fold pass: destination shards,
+	// source-shard order within each.
 	rt.pool.ForEach(rt.plan.Count(), rt.mergeFn)
 
 	active := rt.foldShards()
@@ -908,34 +947,83 @@ func (ss *shardState) send(srcM int32, dst graph.VertexID, val float64) {
 	}
 }
 
-// deposit applies one buffered message to the destination's slots in
-// region — the arena values from global index base on: a merge shard's
-// slice of the resident arena, its out-of-core region buffer, or the
-// whole arena (base 0) for the pull-to-push materialization — running
-// the sender-side combiner exactly as the sequential runtime would.
-// slotIdx records the combiner's slot as a global arena index in every
-// tier, so checkpoint/rollback state is shared unchanged. Only the
-// goroutine owning dst's shard calls deposit for it, so the
-// per-destination state needs no locking. The tag is the superstep the
-// message was sent in — the merge pass passes the current one, the
-// materialization the previous one.
-func (rt *runtime) deposit(region []float64, base int32, srcM int32, dst graph.VertexID, val float64, tag int32) (delivered, cross int64) {
-	if rt.cfg.Combine != nil && int(tag) >= rt.cfg.CombineFrom {
-		if rt.stamp[srcM][dst] == tag {
-			i := rt.slotIdx[srcM][dst] - base
-			region[i] = rt.cfg.Combine(region[i], val)
-			return 0, 0 // merged: no new wire message
-		}
-		rt.stamp[srcM][dst] = tag
-		rt.slotIdx[srcM][dst] = rt.nextStart[dst] + rt.nextLen[dst]
-	}
-	region[rt.nextStart[dst]+rt.nextLen[dst]-base] = val
+// combining reports whether messages sent in superstep s go through the
+// sender-side combiner.
+func (rt *runtime) combining(s int) bool {
+	return rt.cfg.Combine != nil && s >= rt.cfg.CombineFrom
+}
+
+// place writes one raw message at dst's next free position of region —
+// the arena values from global index base on: a merge shard's slice of
+// the resident arena, its out-of-core region buffer, or the whole arena
+// (base 0) for the pull-to-push materialization — and, when the
+// superstep combines, the sender's machine beside it. nextLen is the
+// write cursor; only the goroutine owning dst's shard places for it.
+func (rt *runtime) place(region []float64, mach []machineID, base, srcM int32, dst graph.VertexID, val float64) {
+	at := rt.nextStart[dst] + rt.nextLen[dst] - base
 	rt.nextLen[dst]++
-	delivered = 1
-	if srcM != rt.owner[dst] {
-		cross = 1
+	region[at] = val
+	if mach != nil {
+		mach[at] = machineID(srcM)
 	}
-	return delivered, cross
+}
+
+// fold runs the sender-side combiner over the placed messages of the
+// destinations in recv, in place: a destination's run is contiguous and in
+// the sequential send order, so walking it left to right claims one slot
+// per sender machine in first-appearance order and combines every later
+// message of that machine into its slot in stream order — the slot
+// order and the float operation order a combiner keyed by (machine,
+// destination) produces, from one stamp/slot entry per machine (ss's,
+// the shard running the pass) instead of one per machine and vertex.
+// nextLen ends as each destination's slot count; the returned delivery
+// counts the slots and those whose sender machine is not the owner's.
+func (rt *runtime) fold(ss *shardState, recv []graph.VertexID, region []float64, mach []machineID, base int32) (d delivery) {
+	for m := range ss.stamp {
+		ss.stamp[m] = -1
+	}
+	combine := rt.cfg.Combine
+	for _, v := range recv {
+		at, n := int(rt.nextStart[v]-base), int(rt.nextLen[v])
+		slots := int32(0)
+		for j := at; j < at+n; j++ {
+			m := mach[j]
+			if ss.stamp[m] == int32(v) {
+				k := at + int(ss.slot[m])
+				region[k] = combine(region[k], region[j])
+				continue
+			}
+			ss.stamp[m], ss.slot[m] = int32(v), slots
+			region[at+int(slots)] = region[j]
+			slots++
+			if int32(m) != rt.owner[v] {
+				d.cross++
+			}
+		}
+		rt.nextLen[v] = slots
+		d.delivered += int64(slots)
+	}
+	return d
+}
+
+// shapeArena sizes the leased message plane's shard tables for the run.
+// Nothing a previous run left in the arena is read: every compute pass
+// starts by truncating its shard's buckets and sender list, every merge
+// lays the value arena out afresh.
+func (rt *runtime) shapeArena() {
+	nsh := rt.plan.Count()
+	rt.buckets = par.Grow(rt.buckets, nsh*nsh)
+	rt.senders = par.Grow(rt.senders, nsh)
+	rt.recv = par.Grow(rt.recv, nsh)
+	for i, ss := range rt.shards {
+		ss.out = rt.buckets[i*nsh : (i+1)*nsh]
+	}
+	// The merge pass writes nextVals first; a run that then pulls never
+	// grows the twin, so the larger one goes there.
+	rt.inVals, rt.nextVals = rt.inVals[:0], rt.nextVals[:0]
+	if cap(rt.inVals) > cap(rt.nextVals) {
+		rt.inVals, rt.nextVals = rt.nextVals, rt.inVals
+	}
 }
 
 // chargeSuperstep charges this superstep's modeled costs: per-machine

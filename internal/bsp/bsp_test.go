@@ -245,3 +245,18 @@ func TestMessagesCounted(t *testing.T) {
 		t.Fatalf("messages = %v, want >= %v", out.Messages, minWant)
 	}
 }
+
+// TestRunRefusesMachinesItCannotTellApart: the merge pass records a
+// sender machine in two bytes; a larger cluster is an error, not a
+// silently aliased combiner.
+func TestRunRefusesMachinesItCannotTellApart(t *testing.T) {
+	g := datasets.Generate(datasets.Twitter, datasets.Options{Scale: 2_000_000, Seed: 1})
+	const m = maxMachines + 1
+	_, err := Run(sim.NewSize(m), Config{
+		Graph: g, Scale: 1, M: m, MachineOf: partition.EdgeCut{M: m, Seed: 7}.MachineOf,
+		Profile: &testProfile, Program: &PageRankProgram{Damping: 0.15}, Combine: SumCombine,
+	})
+	if err == nil {
+		t.Fatalf("a run on %d machines was accepted", m)
+	}
+}

@@ -21,16 +21,16 @@ package bsp
 //     to per-shard chunk files once their in-memory bytes pass a
 //     threshold; and the merged inbox arena is written per destination
 //     shard to segment files that the next superstep's compute streams
-//     back. Only the O(V) state planes, the combiner slots, and the
-//     bounded windows/regions stay charged.
+//     back. Only the O(V) state planes, the combiner's per-machine
+//     slots, and the bounded windows/regions stay charged.
 //
 // The spill layout preserves the exact sequential message order: a
 // destination's messages are replayed per source shard as that shard's
 // spilled chunks in flush order followed by its in-memory remainder —
 // the concatenation shardState.segment serves to the one merge body,
-// with zero chunks in core — so the deposit pass, the combiner state,
-// outputs, IterStats, and every modeled cost are bit-identical to
-// in-core execution at every shard count. Modeled costs never see the
+// with zero chunks in core — so the deposit and fold passes, outputs,
+// IterStats, and every modeled cost are bit-identical to in-core
+// execution at every shard count. Modeled costs never see the
 // host strategy at all: out-of-core is a host-side execution detail,
 // like shard count or traversal direction.
 //
@@ -94,7 +94,7 @@ func wrapBudget(err error) error {
 
 // governSizes are the projected working sets the mode decision weighs.
 type governSizes struct {
-	floor int64 // resident in every mode: state planes, offsets, combiner, checkpoint planes
+	floor int64 // resident in every mode: state planes, offsets, combiner slots, checkpoint planes
 	full  int64 // in-core with direction-optimization scratch
 	lean  int64 // in-core, forced push
 	fixed int64 // out-of-core streaming buffers (windows, chunk buffers, bucket residue)
@@ -105,15 +105,15 @@ func (rt *runtime) governSizes(threshold int64) governSizes {
 	n := int64(g.NumVertices())
 	e := int64(g.NumEdges()) // the in-CSR mirrors every out-edge
 	var s governSizes
-	// values 8 + halted 1 + four offset planes 16 + owner 4 + shardOf 4.
-	s.floor = n * 33
+	// values 8 + halted 1 + four offset planes 16 + owner 4 + shardOf 4
+	// + the fold's receiver lists 4.
+	s.floor = n * 37
 	s.floor += (n + 1) * 4 // out-offsets stay resident even when streaming
 	if rt.cfg.UseInNeighbors {
 		s.floor += (n + 1) * 4
 	}
-	if rt.cfg.Combine != nil {
-		s.floor += int64(rt.cfg.M) * n * 8 // stamp + slotIdx per machine
-	}
+	nsh := int64(rt.plan.Count())
+	s.floor += nsh * int64(rt.cfg.M) * 8 // stamp + slot per shard and machine
 	raw := e
 	if rt.cfg.UseInNeighbors {
 		raw += e
@@ -122,11 +122,13 @@ func (rt *runtime) governSizes(threshold int64) governSizes {
 		s.floor += n * 17 // checkpointed values, halted, inStart, inLen
 	}
 	s.lean = s.floor + e*8 + raw*32 // resident CSR both sides + twin arenas & buckets
+	if rt.cfg.Combine != nil {
+		s.lean += raw * 2 // the fold's sender machine per raw message
+	}
 	if rt.cfg.CheckpointEvery > 0 {
 		s.lean += raw * 8 // checkpointed inbox values
 	}
 	s.full = s.lean + n*18 // fvals, counting masks, frontier bitsets
-	nsh := int64(rt.plan.Count())
 	win := int64(oocWindowBytes)
 	s.fixed = nsh * (win /*edges out*/ + win /*inbox*/ + (threshold + 64) /*chunk buf*/ + 2*threshold /*bucket residue*/)
 	if rt.cfg.UseInNeighbors {
@@ -147,7 +149,10 @@ func (rt *runtime) setupGovernor() error {
 	}
 	rt.lease = g.NewLease()
 	avail := rt.lease.Available()
-	threshold := avail / (int64(rt.plan.Count()) * 10)
+	// A shard's spill buffers are three thresholds (governSizes' fixed):
+	// together they get a quarter of the budget, the rest is for the
+	// planes and the merge regions, ten bytes a raw message.
+	threshold := avail / (int64(rt.plan.Count()) * 12)
 	if threshold < minSpillThreshold {
 		threshold = minSpillThreshold
 	}
@@ -214,9 +219,10 @@ type oocState struct {
 
 	outSeg, inSeg *govern.SegmentReader // shared streamed edge blocks
 
-	inbox    []winReader // per compute shard, over the current inbox set
-	regions  [][]float64 // per merge shard, reused across supersteps
-	chunkBuf [][]byte    // per merge shard, spilled-chunk read scratch
+	inbox    []winReader   // per compute shard, over the current inbox set
+	regions  [][]float64   // per merge shard, reused across supersteps
+	regMach  [][]machineID // per merge shard, the regions' sender-machine scratch
+	chunkBuf [][]byte      // per merge shard, spilled-chunk read scratch
 
 	// Double-buffered inbox segment files: set inSet holds the current
 	// superstep's messages, the other set is written by the merge pass;
@@ -287,6 +293,7 @@ func (rt *runtime) setupOOC(threshold int) error {
 		threshold: threshold,
 		inbox:     make([]winReader, nsh),
 		regions:   make([][]float64, nsh),
+		regMach:   make([][]machineID, nsh),
 		chunkBuf:  make([][]byte, nsh),
 		inBase:    make([]int32, nsh),
 		nextBase:  make([]int32, nsh),
@@ -392,18 +399,30 @@ func (oc *oocState) inboxMsgs(i int, start, mlen int32) []float64 {
 	return viewOf[float64](p)
 }
 
-// region returns merge shard i's region buffer grown to n values,
+// region returns merge shard i's region buffer grown to n values and,
+// for a combining superstep, the sender-machine scratch beside it,
 // charging only capacity growth.
-func (oc *oocState) region(i, n int) []float64 {
+func (oc *oocState) region(i, n int, combined bool) ([]float64, []machineID) {
 	r := oc.regions[i]
 	if cap(r) < n {
 		if !oc.charge(int64(n-cap(r)) * 8) {
-			return nil
+			return nil, nil
 		}
 		r = make([]float64, n)
 	}
 	oc.regions[i] = r[:n]
-	return oc.regions[i]
+	if !combined {
+		return r[:n], nil
+	}
+	m := oc.regMach[i]
+	if cap(m) < n {
+		if !oc.charge(int64(n-cap(m)) * 2) {
+			return nil, nil
+		}
+		m = make([]machineID, n)
+	}
+	oc.regMach[i] = m[:n]
+	return r[:n], m[:n]
 }
 
 // writeRegion seals merge shard i's next inbox region to its segment

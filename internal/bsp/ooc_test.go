@@ -76,7 +76,7 @@ func TestCorruptSpillChunk(t *testing.T) {
 		return out, prog, err
 	}
 	// 512 KiB holds the out-of-core floor (windows, one 15k-message
-	// region) and leaves a ~51 KiB flush threshold: ~3,200 messages a
+	// region) and leaves a ~43 KiB flush threshold: ~2,700 messages a
 	// chunk against ~15k sent per superstep.
 	const budget = 512 << 10
 

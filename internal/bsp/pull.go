@@ -136,14 +136,9 @@ func (rt *runtime) setupDirection() {
 		return
 	}
 	rt.trackSenders = true
-	rt.frontier = graph.NewFrontier(n)
-	rt.nextFront = graph.NewFrontier(n)
-	for _, ss := range rt.shards {
-		ss.pullStamp = make([]int32, rt.cfg.M)
-		for m := range ss.pullStamp {
-			ss.pullStamp[m] = -1
-		}
-	}
+	rt.frontier, rt.nextFront = &rt.fronts[0], &rt.fronts[1]
+	rt.frontier.Resize(n)
+	rt.nextFront.Resize(n)
 	rt.buildMinKernel()
 }
 
@@ -213,8 +208,8 @@ func (rt *runtime) finishPush() {
 	}
 	rt.frontier.Clear()
 	s := rt.superstep
-	for _, ss := range rt.shards {
-		for _, u := range ss.senders {
+	for _, senders := range rt.senders {
+		for _, u := range senders {
 			rt.frontier.Add(u, rt.sendMass(u, s))
 		}
 	}
@@ -252,20 +247,15 @@ func (rt *runtime) pullSumPhase() int {
 // messages into the slot claimed at that machine's first message, so
 // the receiver's inbox holds per-machine partial sums in first-
 // appearance order, which Compute then sums left to right. The sweep
-// reproduces that grouping with per-machine slots (pullStamp/pullSlot/
-// pullAcc) claimed in first-appearance order over the ascending
-// in-neighbor scan. Without a combiner the inbox is the raw ascending
-// message stream and a plain left fold matches.
+// reproduces that grouping with per-machine slots (the shard's
+// stamp/slot pair and pullAcc) claimed in first-appearance order over
+// the ascending in-neighbor scan. Without a combiner the inbox is the
+// raw ascending message stream and a plain left fold matches.
 func (rt *runtime) buildSumKernel() {
 	g := rt.cfg.Graph
 	combined := rt.cfg.Combine != nil
 	if combined {
 		for _, ss := range rt.shards {
-			ss.pullStamp = make([]int32, rt.cfg.M)
-			for m := range ss.pullStamp {
-				ss.pullStamp[m] = -1
-			}
-			ss.pullSlot = make([]int32, rt.cfg.M)
 			ss.pullAcc = make([]float64, rt.cfg.M)
 		}
 	}
@@ -282,8 +272,8 @@ func (rt *runtime) buildSumKernel() {
 		ss := rt.shards[i]
 		ss.sent, ss.active, ss.updates, ss.maxDelta = 0, 0, 0, 0
 		if combined {
-			for m := range ss.pullStamp {
-				ss.pullStamp[m] = -1
+			for m := range ss.stamp {
+				ss.stamp[m] = -1
 			}
 		}
 		s := rt.plan.Shard(i)
@@ -295,14 +285,14 @@ func (rt *runtime) buildSumKernel() {
 				nslots := int32(0)
 				for _, u := range g.InNeighbors(graph.VertexID(v)) {
 					m := rt.owner[u]
-					if ss.pullStamp[m] != tag {
-						ss.pullStamp[m] = tag
-						ss.pullSlot[m] = nslots
+					if ss.stamp[m] != tag {
+						ss.stamp[m] = tag
+						ss.slot[m] = nslots
 						ss.pullAcc[nslots] = rt.fvals[u]
 						nslots++
 						continue
 					}
-					ss.pullAcc[ss.pullSlot[m]] += rt.fvals[u]
+					ss.pullAcc[ss.slot[m]] += rt.fvals[u]
 				}
 				for k := int32(0); k < nslots; k++ {
 					sum += ss.pullAcc[k]
@@ -367,8 +357,8 @@ func (rt *runtime) pullMinPhase() int {
 	}
 	rt.nextFront.Clear()
 	s := rt.superstep
-	for _, ss := range rt.shards {
-		for _, u := range ss.senders {
+	for _, senders := range rt.senders {
+		for _, u := range senders {
 			rt.nextFront.Add(u, rt.sendMass(u, s))
 		}
 	}
@@ -408,7 +398,7 @@ func (rt *runtime) buildMinKernel() {
 	rt.pullFn = func(i int) {
 		ss := rt.shards[i]
 		ss.sent, ss.active, ss.updates, ss.maxDelta = 0, 0, 0, 0
-		ss.senders = ss.senders[:0]
+		senders := rt.senders[i][:0]
 		fr := rt.frontier
 		prevAll := rt.allShape(rt.superstep - 1)
 		// WCC's superstep-1 rule: active-but-unchanged vertices still
@@ -441,11 +431,12 @@ func (rt *runtime) buildMinKernel() {
 			if changed || sendAnyway {
 				if d := rt.sendMass(graph.VertexID(v), rt.superstep); d > 0 {
 					ss.sent += int64(d)
-					ss.senders = append(ss.senders, graph.VertexID(v))
+					senders = append(senders, graph.VertexID(v))
 				}
 			}
 			rt.halted[v] = true // both kernels vote to halt every superstep
 		}
+		rt.senders[i] = senders
 	}
 	// countSeq is the sender-side delivery count: the same totals as
 	// countFn from one sequential pass over the new frontier's edges,
@@ -464,9 +455,9 @@ func (rt *runtime) buildMinKernel() {
 		rt.countSeq = func() delivery {
 			var d delivery
 			all := rt.allShape(rt.superstep)
-			combined := rt.cfg.Combine != nil && rt.superstep >= rt.cfg.CombineFrom
+			combined := rt.combining(rt.superstep)
 			marking := combined || monotone
-			touched := rt.countTouched[:0]
+			touched := rt.touched[:0]
 			// sendsTo counts the messages a sender on machine m emits
 			// along one of its neighbor lists; bit is m's mask bit when
 			// combining, a plain seen-mark otherwise.
@@ -503,7 +494,7 @@ func (rt *runtime) buildMinKernel() {
 			for _, w := range touched {
 				rt.countMask[w] = 0
 			}
-			rt.countTouched = touched
+			rt.touched = touched
 			return d
 		}
 	}
@@ -515,10 +506,10 @@ func (rt *runtime) buildMinKernel() {
 		ss := rt.shards[i]
 		fr := rt.frontier
 		all := rt.allShape(rt.superstep)
-		combined := rt.cfg.Combine != nil && rt.superstep >= rt.cfg.CombineFrom
+		combined := rt.combining(rt.superstep)
 		if combined {
-			for m := range ss.pullStamp {
-				ss.pullStamp[m] = -1
+			for m := range ss.stamp {
+				ss.stamp[m] = -1
 			}
 		}
 		var d delivery
@@ -533,10 +524,10 @@ func (rt *runtime) buildMinKernel() {
 				}
 				m := rt.owner[u]
 				if combined {
-					if ss.pullStamp[m] == v {
+					if ss.stamp[m] == v {
 						continue
 					}
-					ss.pullStamp[m] = v
+					ss.stamp[m] = v
 				}
 				d.delivered++
 				if m != own {
@@ -562,17 +553,15 @@ func (rt *runtime) buildMinKernel() {
 // materializeInbox rebuilds the pending inbox arena from the sender
 // frontier when a pull superstep is followed by a push one: the pull
 // path never ran the merge pass, so the messages exist only implicitly.
-// The rebuild replays them in the exact order the merge pass would have
-// deposited them — ascending sender, out-edges then in-edges per sender
-// — through the same deposit routine with the sending superstep's tag,
-// so the arena (and the combiner state) is bit-identical to the one a
-// push superstep would have left. Delivery counts from deposit are
-// discarded: the pull superstep already accounted them.
+// The rebuild places them in the exact order the merge pass would have
+// — ascending sender, out-edges then in-edges per sender — and folds
+// them through the same combiner pass, so the arena is bit-identical to
+// the one a push superstep would have left. The fold's delivery counts
+// are discarded: the pull superstep already accounted them.
 func (rt *runtime) materializeInbox() {
 	g := rt.cfg.Graph
 	sent := rt.superstep - 1
 	all := rt.allShape(sent)
-	tag := int32(sent)
 	members := rt.frontier.Members()
 	if rt.cfg.probe != nil && len(members) > 0 {
 		rt.cfg.probe.materialized++
@@ -591,25 +580,39 @@ func (rt *runtime) materializeInbox() {
 			}
 		}
 	}
+	combined := rt.combining(sent)
 	run := int32(0)
+	recv := rt.recv[0][:0]
 	for v := range cnt {
 		rt.nextStart[v] = run
+		if combined && cnt[v] != 0 {
+			recv = append(recv, graph.VertexID(v))
+		}
 		run += cnt[v]
 		cnt[v] = 0
 	}
+	rt.recv[0] = recv
 	rt.nextVals = par.Grow(rt.nextVals, int(run))
+	var mach []machineID
+	if combined {
+		rt.mach = par.Grow(rt.mach, int(run))
+		mach = rt.mach
+	}
 	delta := rt.spec.Delta
 	for _, u := range members {
 		val := rt.values[u] + delta
 		srcM := rt.owner[u]
 		for _, w := range g.OutNeighbors(u) {
-			rt.deposit(rt.nextVals, 0, srcM, w, val, tag)
+			rt.place(rt.nextVals, mach, 0, srcM, w, val)
 		}
 		if all {
 			for _, w := range g.InNeighbors(u) {
-				rt.deposit(rt.nextVals, 0, srcM, w, val, tag)
+				rt.place(rt.nextVals, mach, 0, srcM, w, val)
 			}
 		}
+	}
+	if combined {
+		rt.fold(rt.shards[0], recv, rt.nextVals, mach, 0)
 	}
 	rt.deliver()
 }

@@ -284,3 +284,35 @@ func TestColdFixtureDoesNotStallWarmOnes(t *testing.T) {
 		t.Fatal("warm lookups returned only after the cold fixture's preparation")
 	}
 }
+
+// TestPlannerChoosesOnlyWhatRuns: whatever the request cell, the system
+// the planner decides on is one both binaries would accept pinned — it
+// runs the workload and runs on the cluster size. Above
+// partition.MaxVertexCutMachines that rules out GraphLab and GraphX,
+// which the cost model ranks first on wrn WCC, SSSP and K-hop.
+func TestPlannerChoosesOnlyWhatRuns(t *testing.T) {
+	r := NewRunner(2_000_000, 1)
+	defer r.Close()
+	for _, name := range datasets.AllNames() {
+		for _, kind := range engine.ExtendedKinds() {
+			for m := 1; m <= 4096; m *= 2 {
+				d, err := r.TryDecide(name, kind, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := SystemByKey(d.System)
+				if err != nil {
+					t.Fatalf("%s %s @ %d: %v", name, kind, m, err)
+				}
+				if !s.Runs(kind) || !s.RunsOn(m) {
+					t.Errorf("%s %s @ %d machines: planner chose %s, which does not run there", name, kind, m, s.Key)
+				}
+				for _, c := range d.Candidates {
+					if cs, _ := SystemByKey(c.System); !cs.RunsOn(m) {
+						t.Errorf("%s %s @ %d machines: %s ranked though it cannot run", name, kind, m, c.System)
+					}
+				}
+			}
+		}
+	}
+}

@@ -14,20 +14,25 @@ import (
 )
 
 // oocBudget returns a budget small enough that the workload's lean
-// in-core residency on the scale-up UK fixture overflows it (10–17 MB
-// at 64 machines) while the out-of-core working set still fits. WCC
+// in-core residency on the scale-up UK fixture overflows it while the
+// out-of-core working set still fits. The residency follows the message
+// plane, not the cluster — about 42 B per raw message, 8 MB for
+// PageRank, SSSP and K-hop, whose out-of-core peak is 4–5 MB. WCC
 // mirrors every edge through the in-neighbor CSR, which both inflates
-// its lean residency (~16 MB) and widens its out-of-core windows, so it
-// gets a bit more headroom. Triangle counting is the exception by
-// design: its forward-orientation graph halves the edge count, so it
-// runs in-core under soft pressure — which is itself worth pinning
-// down: the governor must pick the cheapest mode that fits, not spill
-// unconditionally.
+// its lean residency (~14 MB) and widens its out-of-core windows; LPA
+// sends along the symmetrized simple view. Triangle counting is the
+// exception by design: its forward-orientation graph halves the edge
+// count, so it runs in-core under soft pressure — which is itself worth
+// pinning down: the governor must pick the cheapest mode that fits, not
+// spill unconditionally.
 func oocBudget(k engine.Kind) int64 {
-	if k == engine.WCC {
+	switch k {
+	case engine.WCC:
 		return 11 << 20
+	case engine.Triangle, engine.LPA:
+		return 9 << 20
 	}
-	return 9 << 20
+	return 6 << 20
 }
 
 // TestOutOfCoreBitIdentity is the acceptance test for the memory

@@ -23,6 +23,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"weak"
 )
 
 // Pool runs tasks on a persistent worker runtime. The zero value is not
@@ -37,6 +38,8 @@ import (
 type Pool struct {
 	k  int
 	rt *poolRuntime // nil when the pool executes inline (parallelism 1)
+
+	leased any // weak.Pointer[T] to the value Lease last handed out
 }
 
 // poolRuntime is the state shared with the helper goroutines. It is
@@ -246,6 +249,27 @@ func Use(external *Pool, shards int) (*Pool, func()) {
 	}
 	p := New(shards)
 	return p, p.Close
+}
+
+// Lease returns the *T the pool's previous borrower leased, or a zero
+// one when there is none, it was of another type, or the collector has
+// taken it. The pool refers to the value only weakly: the borrower
+// keeps it alive for as long as it holds the pointer — across any number
+// of collections — and once it lets go, the next collection reclaims the
+// value and everything it refers to. A persistent pool's borrowers thus
+// find their scratch (bsp's message-plane arena) warm while runs follow
+// one another closely, and a pool that sits idle retains nothing. Like
+// ForEach, Lease is for the pool's one current borrower and is not
+// synchronized.
+func Lease[T any](p *Pool) *T {
+	if w, ok := p.leased.(weak.Pointer[T]); ok {
+		if v := w.Value(); v != nil {
+			return v
+		}
+	}
+	v := new(T)
+	p.leased = weak.Make(v)
+	return v
 }
 
 // Shard is one contiguous index range [Lo, Hi) of a Plan.

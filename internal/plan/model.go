@@ -2,8 +2,10 @@ package plan
 
 import (
 	"sort"
+	"strings"
 
 	"graphbench/internal/datasets"
+	"graphbench/internal/partition"
 	"graphbench/internal/sim"
 )
 
@@ -198,4 +200,12 @@ func modelSystems(workload string) []string {
 		sort.Strings(keys)
 	}
 	return keys
+}
+
+// runsOn mirrors core.System.RunsOn over the model's keys: GraphLab and
+// GraphX place edges by vertex cut, which partition builds for at most
+// MaxVertexCutMachines machines; every other system runs at any size.
+func runsOn(sysKey string, m int) bool {
+	vertexCut := sysKey == "graphx" || strings.HasPrefix(sysKey, "gl-")
+	return !vertexCut || m <= partition.MaxVertexCutMachines
 }

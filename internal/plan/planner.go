@@ -100,6 +100,9 @@ func decide(pr *Profile, req Request) *Decision {
 	}
 
 	for _, sys := range modelSystems(req.Workload) {
+		if !runsOn(sys, req.Machines) {
+			continue // never choose, or rank, what cannot run
+		}
 		pred := predict(pr, sys, req.Workload, req.Machines)
 		c := Candidate{System: sys, Prediction: pred, Score: Score(pred, req.Machines)}
 		d.Candidates = append(d.Candidates, c)
